@@ -43,6 +43,8 @@ from .mutation import (
 )
 from .nakayama import (
     BoundExceededError,
+    ConeDecompositionError,
+    GenerationUndecided,
     NakayamaAlgebra,
     NotAnSmsError,
     NuStabilityError,
@@ -61,7 +63,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundExceededError",
+    "ConeDecompositionError",
     "DynkinGraph",
+    "GenerationUndecided",
     "GraphAutomorphism",
     "HomTable",
     "InvalidTypeError",

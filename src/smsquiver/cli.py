@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="simple-minded systems of representation-finite "
         "self-injective algebras, two ways",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="validate and describe an RFS type")
@@ -345,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.fn(args, sys.stdout)
     except BrokenPipeError:

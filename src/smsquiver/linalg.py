@@ -101,17 +101,6 @@ def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def integer_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Nullspace basis scaled to coprime integer vectors."""
-    out = []
-    for vec in nullspace(rows, ncols):
-        scale = math.lcm(*(x.denominator for x in vec)) if vec else 1
-        ints = [int(x * scale) for x in vec]
-        g = math.gcd(*ints) if any(ints) else 1
-        out.append(tuple(x // g for x in ints) if g > 1 else tuple(ints))
-    return out
-
-
 def integer_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free elimination."""
     work = [list(r) for r in rows if any(r)]

@@ -12,15 +12,16 @@ graded bases:
 * hom spaces have the basis phi_j (top |-> j-th radical layer of the
   target); maps factoring through projectives are the span of the
   compositions through the projective cover of the target;
-* the generation condition of a candidate system S is decided through
-  filtrations: an indecomposable Y is generated iff Y plus some projective
-  padding carries a chain of surjections whose factors lie in S or are
-  projective.  Kernels of surjections onto a serial module are classified
-  exactly by the depth of each component map, which keeps the search
-  finite; a sound extension-closure fixpoint and hom-vanishing
-  certificates short-circuit almost every query (see _GenerationEngine);
-* mutation triangles are realized as pushouts (left) or pullbacks (right)
-  in mod A followed by stripping projective summands.
+* the generation condition of a candidate system S is decided in two
+  tiers: a sound fixpoint closure under layer steps whose middle is one
+  strand plus projectives proves membership, and hom-vanishing
+  certificates prove non-membership; a query neither tier decides raises
+  GenerationUndecided (see _GenerationEngine);
+* left mutation triangles are realized as pushouts in mod A followed by
+  stripping projective summands; right mutation is left mutation
+  conjugated by the duality D of N(e, L), D M(t, l) = M(-(t+l-1), l),
+  which reverses arrows, swaps Omega with Omega^{-1} and left with right
+  approximations.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ class NotAnSmsError(ValueError):
 
 class NuStabilityError(ValueError):
     pass
+
+
+class GenerationUndecided(RuntimeError):
+    """Neither the closure nor the vanishing certificates decide a query."""
+
+
+class ConeDecompositionError(RuntimeError):
+    """A module decomposition broke an invariant of the serial theory."""
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +79,6 @@ class NakayamaAlgebra:
         self.L = loewy_length
         self._stable_dim: dict[tuple[SerialModule, SerialModule], int] = {}
         self._stable_basis: dict[tuple[SerialModule, SerialModule], tuple[int, ...]] = {}
-        self._kernel_cache: dict[tuple[Multiset, SerialModule], frozenset] = {}
         self._basis_cache: dict[Multiset, list] = {}
         self._index_cache: dict[Multiset, dict] = {}
         self._shift_cache: dict[Multiset, list] = {}
@@ -201,6 +209,18 @@ class NakayamaAlgebra:
             raise ValueError("tau_inv of a projective is undefined")
         return SerialModule(self._col(m.top - 1), m.length)
 
+    def dual(self, m: SerialModule) -> SerialModule:
+        """The duality D = Hom_k(-, k), which reverses the composition factors.
+
+        N(e, L) is isomorphic to its opposite algebra through i -> -i, so D
+        lands in N(e, L) again: D M(t, l) = M(-(t+l-1), l).  D is an
+        involution, sends systems to systems, and D nu = nu^{-1} D.
+        """
+        return SerialModule(self._col(1 - m.top - m.length), m.length)
+
+    def _dual_all(self, mods) -> Multiset:
+        return _canon(self.dual(m) for m in mods)
+
     # --- orthogonality, wsms --------------------------------------------
 
     def is_orthogonal_system(self, mods) -> tuple[bool, str]:
@@ -230,52 +250,7 @@ class NakayamaAlgebra:
                 return False
         return True
 
-    # --- generation through filtrations ---------------------------------
-
-    def _valid_depth_sets(self, w: Multiset, target: SerialModule):
-        """Per-component usable depths of maps onto `target` (None = zero map)."""
-        opts = []
-        for comp in w:
-            depths = self.hom_depths(comp, target)
-            opts.append([None] + depths)
-        return opts
-
-    def kernel_classes(self, w: Multiset, target: SerialModule) -> frozenset:
-        """Iso-classes of kernels of surjections W ->> target.
-
-        Every component map is, up to automorphisms of the component, a
-        scalar multiple of a pure depth map phi_d; hence the kernels of all
-        surjections are exactly the kernels of depth-vector maps with some
-        depth equal to zero.
-        """
-        key = (w, target)
-        cached = self._kernel_cache.get(key)
-        if cached is not None:
-            return cached
-        if self.is_projective(target):
-            # a surjection onto a projective splits off one matching summand
-            kernels = set()
-            if target in w:
-                rest = list(w)
-                rest.remove(target)
-                kernels.add(_canon(rest))
-            result = frozenset(kernels)
-            self._kernel_cache[key] = result
-            return result
-        opts = self._valid_depth_sets(w, target)
-        kernels = set()
-        seen_assignments = set()
-        for assign in itertools.product(*opts):
-            if 0 not in assign:
-                continue
-            canon = tuple(sorted(zip(w, assign), key=lambda p: (p[0], -1 if p[1] is None else p[1])))
-            if canon in seen_assignments:
-                continue
-            seen_assignments.add(canon)
-            kernels.add(self._kernel_of_assignment(w, target, assign))
-        result = frozenset(kernels)
-        self._kernel_cache[key] = result
-        return result
+    # --- decomposition of graded representations ---------------------
 
     def _rep_basis(self, w: Multiset):
         """Graded basis [(component, depth)] of a direct sum of serials."""
@@ -292,39 +267,6 @@ class NakayamaAlgebra:
             self._index_cache[w] = index
         return index
 
-    def _kernel_of_assignment(self, w: Multiset, target: SerialModule, assign) -> Multiset:
-        basis = self._rep_basis(w)
-        dim = len(basis)
-        # every basis vector hits at most one target layer, so the kernel
-        # is spanned by untouched basis vectors and differences within the
-        # fibre over each layer
-        image = {}
-        for k, (i, j) in enumerate(basis):
-            d = assign[i]
-            if d is not None and d + j < target.length:
-                image[k] = d + j
-        fibre: dict[int, list[int]] = {}
-        kernel_vectors = []
-        for k, (i, j) in enumerate(basis):
-            c = self._col(w[i].top + j)
-            layer = image.get(k)
-            if layer is None:
-                vec = [0] * dim
-                vec[k] = 1
-                kernel_vectors.append((c, vec))
-            else:
-                fibre.setdefault(layer, []).append(k)
-        for ks in fibre.values():
-            k0 = ks[0]
-            i0, j0 = basis[k0]
-            c = self._col(w[i0].top + j0)
-            for k in ks[1:]:
-                vec = [0] * dim
-                vec[k] = 1
-                vec[k0] = -1
-                kernel_vectors.append((c, vec))
-        return self._decompose_subspace(w, kernel_vectors)
-
     def _shift_map(self, w: Multiset) -> list[int]:
         """nxt[k] = basis index of x * (k-th basis vector), or -1."""
         cached = self._shift_cache.get(w)
@@ -337,33 +279,6 @@ class NakayamaAlgebra:
             ]
             self._shift_cache[w] = cached
         return cached
-
-    def _decompose_subspace(self, w: Multiset, colored_vectors) -> Multiset:
-        """Summand multiset of the submodule spanned by x-stable colored vectors."""
-        nxt = self._shift_map(w)
-        dim = len(nxt)
-        by_color: dict[int, list] = {}
-        for c, vec in colored_vectors:
-            by_color.setdefault(c, []).append(list(vec))
-        ranks: dict[tuple[int, int], int] = {}
-        for c, vecs in by_color.items():
-            m = 0
-            cur = vecs
-            while True:
-                cur = [v for v in cur if any(v)]
-                ranks[(c, m)] = integer_rank(cur) if cur else 0
-                if not cur:
-                    break
-                shifted = []
-                for v in cur:
-                    out = [0] * dim
-                    for k, coeff in enumerate(v):
-                        if coeff and nxt[k] >= 0:
-                            out[nxt[k]] += coeff
-                    shifted.append(out)
-                cur = shifted
-                m += 1
-        return self._multiset_from_rank_table(ranks)
 
     def _decompose_quotient(self, w: Multiset, relation_vectors) -> Multiset:
         """Summand multiset of W / U for an x-stable graded subspace U."""
@@ -412,26 +327,27 @@ class NakayamaAlgebra:
         for t in range(1, self.e + 1):
             for m in range(1, self.L + 1):
                 mult = D(t, m) - D(t - 1, m + 1)
-                assert mult >= 0
+                if mult < 0:
+                    raise ConeDecompositionError(
+                        f"rank table gives M({t},{m}) multiplicity {mult}"
+                    )
                 out.extend([SerialModule(t, m)] * mult)
         return _canon(out)
 
-    def _default_pad_budget(self) -> int:
-        return max(4, 2 * (self.L - 1))
+    # --- generation -----------------------------------------------------
 
-    def generation_engine(self, system, pad_budget: int | None = None) -> "_GenerationEngine":
-        budget = self._default_pad_budget() if pad_budget is None else pad_budget
-        return _GenerationEngine(self, _canon(system), budget)
+    def generation_engine(self, system) -> "_GenerationEngine":
+        return _GenerationEngine(self, _canon(system))
 
-    def ext_closure(self, mods, pad_budget: int | None = None) -> Multiset:
+    def ext_closure(self, mods) -> Multiset:
         """Indecomposables of the smallest extension-closed stable subcategory."""
         mods = _canon(set(mods))
         if not mods:
             return ()
-        engine = self.generation_engine(mods, pad_budget)
+        engine = self.generation_engine(mods)
         return _canon(y for y in self.indecomposables() if engine.generated(y))
 
-    def is_sms(self, mods, pad_budget: int | None = None) -> bool:
+    def is_sms(self, mods) -> bool:
         """Orthogonality plus the layered generation condition."""
         mods = _canon(mods)
         cached = self._sms_cache.get(mods)
@@ -440,7 +356,7 @@ class NakayamaAlgebra:
         ok, _ = self.is_orthogonal_system(mods)
         result = False
         if ok:
-            engine = self.generation_engine(mods, pad_budget)
+            engine = self.generation_engine(mods)
             members = set(mods)
             result = all(
                 y in members or engine.generated(y) for y in self.indecomposables()
@@ -496,46 +412,42 @@ class NakayamaAlgebra:
         copies = [
             (t, depth) for t in subcat for depth in self.stable_hom_basis(m, t)
         ]
-        copies = self._minimize(copies, subcat, m, left=True)
-        return Approximation(m, tuple(copies), left=True)
+        return Approximation(m, tuple(self._minimize(copies, subcat, m)))
 
     def minimal_right_approximation(self, m: SerialModule, subcat) -> "Approximation":
-        subcat = _canon(set(subcat))
-        copies = [
-            (t, depth) for t in subcat for depth in self.stable_hom_basis(t, m)
-        ]
-        copies = self._minimize(copies, subcat, m, left=False)
-        return Approximation(m, tuple(copies), left=False)
+        """Minimal right add(subcat)-approximation of m: D of the left one of D m.
 
-    def _covers(self, copies, subcat, m, left: bool) -> bool:
+        D turns phi_j : D m -> D u into a map u -> m whose image is the
+        bottom length(u) - j layers of m, so its depth in m is
+        length(m) - length(u) + j.
+        """
+        left = self.minimal_left_approximation(self.dual(m), self._dual_all(subcat))
+        return Approximation(
+            m,
+            tuple(sorted((self.dual(u), m.length - u.length + j) for u, j in left.copies)),
+        )
+
+    def _covers(self, copies, subcat, m) -> bool:
         """Whether the stacked map still induces surjections onto all stable homs."""
         for t2 in subcat:
-            if left:
-                tracker = self._factoring_tracker(m, t2)
-                goal = tracker.rank + self.stable_hom_dim(m, t2)
-                for t, depth in copies:
-                    for b in self.hom_depths(t, t2):
-                        if depth + b < t2.length:
-                            tracker.add(self._hom_vector(m, t2, depth + b))
-            else:
-                tracker = self._factoring_tracker(t2, m)
-                goal = tracker.rank + self.stable_hom_dim(t2, m)
-                for t, depth in copies:
-                    for b in self.hom_depths(t2, t):
-                        if depth + b < m.length:
-                            tracker.add(self._hom_vector(t2, m, depth + b))
+            tracker = self._factoring_tracker(m, t2)
+            goal = tracker.rank + self.stable_hom_dim(m, t2)
+            for t, depth in copies:
+                for b in self.hom_depths(t, t2):
+                    if depth + b < t2.length:
+                        tracker.add(self._hom_vector(m, t2, depth + b))
             if tracker.rank < goal:
                 return False
         return True
 
-    def _minimize(self, copies, subcat, m, left: bool):
+    def _minimize(self, copies, subcat, m):
         copies = sorted(copies)
         changed = True
         while changed:
             changed = False
             for k in range(len(copies)):
                 trial = copies[:k] + copies[k + 1 :]
-                if self._covers(trial, subcat, m, left):
+                if self._covers(trial, subcat, m):
                     copies = trial
                     changed = True
                     break
@@ -565,58 +477,12 @@ class NakayamaAlgebra:
             rels.append((self._col(om.top + j), tuple(vec)))
         return self._decompose_quotient(order, rels)
 
-    def _cone_of_left_approximation(self, m: SerialModule, appr: "Approximation") -> SerialModule:
-        """Nonprojective part of the pushout middle of Omega(m) -> target."""
-        return self._sole_nonprojective(self._pushout_middle(m, appr.copies))
-
-    def _cocone_of_right_approximation(self, m: SerialModule, appr: "Approximation") -> SerialModule:
-        """Nonprojective part of the pullback of target -> Omega^{-1}(m)."""
-        oim = self.omega_inv(m)
-        cover = self.projective(oim.top)
-        order = list([t for t, _ in appr.copies]) + [cover]
-        basis = self._rep_basis(tuple(order))
-        dim = len(basis)
-        # rows of the combined map (g, -pi) into Omega^{-1}(m)
-        image = {}
-        for k, (i, j) in enumerate(basis):
-            if i < len(appr.copies):
-                t, depth = appr.copies[i]
-                if depth + j < oim.length:
-                    image[k] = depth + j
-            else:
-                if j < oim.length:
-                    image[k] = j  # cover map hits layer j with sign -1
-        # each basis vector hits at most one layer, with sign -1 on the
-        # cover component; kernel = untouched vectors + signed differences
-        def sign(k: int) -> int:
-            return -1 if basis[k][0] == len(order) - 1 else 1
-
-        colored = []
-        fibre: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(basis):
-            c = self._col(order[i].top + j)
-            layer = image.get(k)
-            if layer is None:
-                vec = [0] * dim
-                vec[k] = 1
-                colored.append((c, vec))
-            else:
-                fibre.setdefault(layer, []).append(k)
-        for ks in fibre.values():
-            k0 = ks[0]
-            i0, j0 = basis[k0]
-            c = self._col(order[i0].top + j0)
-            for k in ks[1:]:
-                vec = [0] * dim
-                vec[k] = 1
-                vec[k0] = -sign(k) * sign(k0)
-                colored.append((c, vec))
-        kernel = self._decompose_subspace(tuple(order), colored)
-        return self._sole_nonprojective(kernel)
-
     def _sole_nonprojective(self, mods: Multiset) -> SerialModule:
         nonproj = self._strip_projectives(mods)
-        assert len(nonproj) == 1, f"mutation cone decomposed as {mods}"
+        if len(nonproj) != 1:
+            raise ConeDecompositionError(
+                f"mutation cone decomposed as {[str(m) for m in mods]}"
+            )
         return nonproj[0]
 
     def extension_middles(self, sub: Multiset | SerialModule, quot: SerialModule) -> tuple[Multiset, ...]:
@@ -664,7 +530,9 @@ class NakayamaAlgebra:
 
     def mutate_left(self, system, subset) -> Multiset:
         """Left mutation: shift the subset by Omega^{-1}, cone off the rest."""
-        system, subset = self._check_mutation_args(system, subset)
+        return self._mutate_left_body(*self._check_mutation_args(system, subset))
+
+    def _mutate_left_body(self, system: Multiset, subset: Multiset) -> Multiset:
         closure = self.ext_closure(subset)
         out = []
         for m in system:
@@ -675,23 +543,18 @@ class NakayamaAlgebra:
             if not appr.copies:
                 out.append(m)  # zero approximation: cone is Omega^{-1}Omega(m)
             else:
-                out.append(self._cone_of_left_approximation(m, appr))
+                out.append(self._sole_nonprojective(self._pushout_middle(m, appr.copies)))
         return _canon(out)
 
     def mutate_right(self, system, subset) -> Multiset:
+        """Right mutation: shift the subset by Omega, cocone off the rest.
+
+        D reverses triangles and swaps Omega with Omega^{-1}, so right
+        mutation at X is D of left mutation of D(system) at D(X).
+        """
         system, subset = self._check_mutation_args(system, subset)
-        closure = self.ext_closure(subset)
-        out = []
-        for m in system:
-            if m in subset:
-                out.append(self.omega(m))
-                continue
-            appr = self.minimal_right_approximation(self.omega_inv(m), closure)
-            if not appr.copies:
-                out.append(m)
-            else:
-                out.append(self._cocone_of_right_approximation(m, appr))
-        return _canon(out)
+        dual = self._mutate_left_body(self._dual_all(system), self._dual_all(subset))
+        return self._dual_all(dual)
 
     # --- transport to mesh coordinates -----------------------------------
 
@@ -716,15 +579,14 @@ class NakayamaAlgebra:
 
 @dataclass(frozen=True)
 class Approximation:
-    """A stacked stable map from/to add of a subcategory.
+    """A stacked stable map between a module and add of a subcategory.
 
-    `copies` lists (target-or-source summand, depth of the chosen basis
-    map); the stacked map is a (minimal) left or right approximation.
+    `copies` lists (summand, depth of the chosen basis map); the stacked
+    map is a minimal left or right approximation of `module`.
     """
 
     module: SerialModule
     copies: tuple
-    left: bool
 
     @property
     def summands(self) -> Multiset:
@@ -734,40 +596,36 @@ class Approximation:
 class _GenerationEngine:
     """Decides generation of indecomposables from a fixed system.
 
-    Three tiers, fastest first:
+    Two tiers, fastest first:
 
     1. a sound fixpoint closure under single extensions whose middles are
        one non-projective strand plus projectives (each step is literally
-       a layer step of the generation condition);
+       a layer step of the generation condition), which proves membership;
     2. hom-vanishing certificates: stable homs out of or into the system
        are subadditive along triangles, so a nonzero stable hom between Y
-       and the system's two-sided vanishing sets rules Y out;
-    3. otherwise, an exhaustive filtration search: Y is generated iff it
-       admits a chain of surjections with factors in the system or
-       projective, with projective padding injected lazily (at most two
-       active pads per step) against a global budget.
+       and the system's two-sided vanishing sets rules Y out.
 
-    Kernel classes and extension middles are cached on the algebra and
-    shared between systems and candidates.
+    A query that neither tier decides raises GenerationUndecided rather
+    than guessing.  Extension middles are cached on the algebra and shared
+    between systems and candidates.
     """
 
-    def __init__(self, algebra: NakayamaAlgebra, system: Multiset, pad_budget: int):
+    def __init__(self, algebra: NakayamaAlgebra, system: Multiset):
         self.algebra = algebra
         self.system = system
-        self.pad_budget = pad_budget
-        self._memo: dict[tuple[Multiset, int], bool] = {}
         self._closure: frozenset | None = None
         self._vanish_out: frozenset | None = None
         self._vanish_in: frozenset | None = None
 
     def generated(self, y: SerialModule) -> bool:
-        if y in self.system:
-            return True
-        if y in self._single_strand_closure():
+        if y in self.system or y in self._single_strand_closure():
             return True
         if self._certified_out(y):
             return False
-        return self._filtered((y,), self.pad_budget)
+        raise GenerationUndecided(
+            f"cannot decide whether {y} is generated by "
+            f"{[str(m) for m in self.system]}"
+        )
 
     def _single_strand_closure(self) -> frozenset:
         """Fixpoint of layer steps whose middle is one strand plus projectives.
@@ -810,50 +668,6 @@ class _GenerationEngine:
         return any(A.stable_hom_dim(y, w) for w in self._vanish_out) or any(
             A.stable_hom_dim(w, y) for w in self._vanish_in
         )
-
-    def _pad_choices(self, target: SerialModule, budget: int):
-        """Projective paddings that can map nonzero onto the factor."""
-        A = self.algebra
-        kinds = sorted({A._col(target.top + j) for j in range(target.length)})
-        pads = [A.projective(i) for i in kinds]
-        for size in range(1, min(2, budget) + 1):
-            yield from itertools.combinations_with_replacement(pads, size)
-
-    def _filtered(self, w: Multiset, budget: int) -> bool:
-        if not w:
-            return True
-        key = (w, budget)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._memo[key] = False  # measure (budget, length) strictly decreases
-        A = self.algebra
-        result = False
-        # split off a projective summand, or quotient by a system factor
-        factors = [p for p in dict.fromkeys(w) if A.is_projective(p)]
-        factors.extend(self.system)
-        for t in factors:
-            for kernel in A.kernel_classes(w, t):
-                if self._filtered(kernel, budget):
-                    result = True
-                    break
-            if result:
-                break
-        # same, with freshly injected projective padding
-        if not result and budget > 0:
-            for t in self.system:
-                for pad in self._pad_choices(t, budget):
-                    padded = _canon(w + pad)
-                    for kernel in A.kernel_classes(padded, t):
-                        if self._filtered(kernel, budget - len(pad)):
-                            result = True
-                            break
-                    if result:
-                        break
-                if result:
-                    break
-        self._memo[key] = result
-        return result
 
 
 def parse_algebra(text: str) -> NakayamaAlgebra:

@@ -142,24 +142,6 @@ def test_invalid_arguments_exit_two():
     assert proc.returncode == 2
 
 
-def test_threads_validation():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "smsquiver.cli",
-            "--threads",
-            "0",
-            "classify",
-            "A:1/f=1/t=1",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
-    )
-    assert proc.returncode == 2
-
-
 def test_check_subset():
     code, out = run_cli("check", "--only", "1,2")
     assert code == 0

@@ -41,17 +41,15 @@ def test_left_bfs_reaches_every_system(e, L):
     assert set(q.vertices) == set(A.all_sms())
 
 
-def test_every_left_arrow_has_an_inverse_right_mutation():
-    A = NakayamaAlgebra(3, 4)
-    q = build_mutation_quiver(A, A.simples(), "left")
-    parts_cache = {}
-    for s_idx, t_idx, label, direction in q.arrows:
-        assert direction == "left"
-        source, target = q.vertices[s_idx], q.vertices[t_idx]
-        parts = parts_cache.setdefault(source, nu_orbit_partition(A, source))
-        sub = next(p for p in parts if orbit_label(A, p) == label)
-        image_orbit = tuple(sorted(A.omega_inv(m) for m in sub))
-        assert A.mutate_right(target, image_orbit) == source
+@pytest.mark.parametrize("e,L", [(2, 3), (3, 4), (4, 5), (2, 5), (3, 5)])
+def test_every_left_arrow_has_an_inverse_right_mutation(e, L):
+    A = NakayamaAlgebra(e, L)
+    for S in A.all_sms():
+        for sub in _nu_stable_subsets(nu_orbit_partition(A, S)):
+            shifted = A.mutate_left(S, sub)
+            assert A.mutate_right(shifted, [A.omega_inv(m) for m in sub]) == S
+            shifted = A.mutate_right(S, sub)
+            assert A.mutate_left(shifted, [A.omega(m) for m in sub]) == S
 
 
 def test_both_direction_quiver_strongly_connected():
