@@ -17,6 +17,7 @@ from .dynkin import (
     DynkinGraph,
     GraphAutomorphism,
     InvalidTypeError,
+    RfsInvariantError,
     RfsType,
     admissible_group,
     coxeter_number,
@@ -52,6 +53,8 @@ from .nakayama import (
     parse_algebra,
 )
 from .ztquiver import (
+    CoveringError,
+    MeshSymmetryError,
     StableTranslationQuiver,
     Window,
     WindowTooSmallError,
@@ -64,16 +67,19 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExceededError",
     "ConeDecompositionError",
+    "CoveringError",
     "DynkinGraph",
     "GenerationUndecided",
     "GraphAutomorphism",
     "HomTable",
     "InvalidTypeError",
+    "MeshSymmetryError",
     "MutationQuiver",
     "NakayamaAlgebra",
     "NotAnSmsError",
     "NuStabilityError",
     "Orbit",
+    "RfsInvariantError",
     "RfsType",
     "SerialModule",
     "StableTranslationQuiver",

@@ -33,6 +33,10 @@ class InvalidTypeError(ValueError):
     """Raised when an operation requires a valid RFS type and got none."""
 
 
+class RfsInvariantError(RuntimeError):
+    """A valid RFS type broke an invariant of the classification."""
+
+
 _E_EDGES = {
     6: ((1, 3), (3, 4), (4, 5), (5, 6), (2, 4)),
     7: ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)),
@@ -296,14 +300,16 @@ def admissible_group(t: RfsType) -> tuple[int, GraphAutomorphism]:
     if not ok:
         raise InvalidTypeError(f"{t}: {diag}")
     r = t.frequency * (coxeter_number(t.graph) - 1)
-    assert r.denominator == 1 and r > 0
+    if r.denominator != 1 or r <= 0:
+        raise RfsInvariantError(f"{t}: r = {r} is not a positive integer")
     if t.torsion == 1:
         zeta = identity_automorphism(t.graph)
     elif t.torsion == 2:
         zeta = order2_automorphism(t.graph)
     else:
         zeta = order3_automorphism(t.graph)
-    assert zeta.order == t.torsion
+    if zeta.order != t.torsion:
+        raise RfsInvariantError(f"{t}: zeta has order {zeta.order}")
     return int(r), zeta
 
 
@@ -312,7 +318,8 @@ def num_simples(t: RfsType) -> int:
     if not ok:
         raise InvalidTypeError(f"{t}: {diag}")
     s = t.frequency * t.graph.rank
-    assert s.denominator == 1
+    if s.denominator != 1:
+        raise RfsInvariantError(f"{t}: {s} simples is not an integer")
     return int(s)
 
 

@@ -4,6 +4,12 @@ Everything in this package that needs ranks, kernels or quotient maps goes
 through these helpers, so there are no floating-point tolerances anywhere.
 Matrices are lists of row tuples with Fraction entries and stay tiny
 (dimensions in the tens), hence plain Gaussian elimination is enough.
+
+`nullspace` and `integer_rank` have no caller in the package.  The tests
+use them as brute-force references: `integer_rank` is the elimination that
+pushout middles were once decomposed with, which the combinatorial
+decomposition in `nakayama` is checked against.  The benchmark tracer
+(perfbench/tracer.py) also counts `integer_rank` calls by name.
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ Indecomposables are the serial modules M(t, l) with top t and length
 l <= L; M(t, L) is the projective cover P(t).  The composition factors of
 M(t, l) are t, t+1, ..., t+l-1 read top to socle.
 
-Everything is computed with exact rational linear algebra on explicit
-graded bases:
+Everything is computed exactly on explicit graded bases:
 
 * hom spaces have the basis phi_j (top |-> j-th radical layer of the
   target); maps factoring through projectives are the span of the
-  compositions through the projective cover of the target;
+  compositions through the projective cover of the target, found by
+  exact rational linear algebra;
+* extension middles (pushouts) are decomposed combinatorially: their
+  relations are homogeneous of distinct degrees in a grading, so the
+  ranks of radical powers follow from counting supports, with no
+  elimination (see _decompose_quotient);
 * the generation condition of a candidate system S is decided in two
   tiers: a sound fixpoint closure under layer steps whose middle is one
   strand plus projectives proves membership, and hom-vanishing
@@ -30,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SpanTracker, integer_rank
+from .linalg import SpanTracker
 
 
 class BoundExceededError(ValueError):
@@ -280,15 +284,23 @@ class NakayamaAlgebra:
             self._shift_cache[w] = cached
         return cached
 
-    def _decompose_quotient(self, w: Multiset, relation_vectors) -> Multiset:
-        """Summand multiset of W / U for an x-stable graded subspace U."""
+    def _decompose_quotient(self, w: Multiset, relations) -> Multiset:
+        """Summand multiset of W / U, with U spanned by the given relations.
+
+        `relations` are (colour, support) pairs: the basis indices where a
+        relation is nonzero, all of that colour.  Precondition: some
+        Z-grading makes every basis vector of W homogeneous and the
+        relations nonzero and homogeneous of pairwise distinct degrees.
+        Then U is the direct sum of the lines they span, a relation lies
+        in a span of basis vectors exactly when its support does, and the
+        rank of x^m on the colour-c slice of W / U is |x^m W_c| minus the
+        number of colour-(c+m) relations supported inside x^m W_c.
+        """
         basis = self._rep_basis(w)
         nxt = self._shift_map(w)
-        dim = len(basis)
         rel_by_color: dict[int, list] = {}
-        for c, vec in relation_vectors:
-            rel_by_color.setdefault(c, []).append(list(vec))
-        rel_rank = {c: integer_rank(vs) for c, vs in rel_by_color.items()}
+        for c, support in relations:
+            rel_by_color.setdefault(c, []).append(support)
         w_by_color: dict[int, list[int]] = {}
         for k, (i, j) in enumerate(basis):
             w_by_color.setdefault(self._col(w[i].top + j), []).append(k)
@@ -297,17 +309,12 @@ class NakayamaAlgebra:
         for c, units in w_by_color.items():
             cur = units
             for m in range(0, self.L + 2):
-                tgt = self._col(c + m)
-                if cur:
-                    rows = list(rel_by_color.get(tgt, []))
-                    for k in cur:
-                        unit = [0] * dim
-                        unit[k] = 1
-                        rows.append(unit)
-                    ranks[(c, m)] = integer_rank(rows) - rel_rank.get(tgt, 0)
-                else:
+                if not cur:
                     ranks[(c, m)] = 0
                     break
+                inside = set(cur)
+                tgt = rel_by_color.get(self._col(c + m), ())
+                ranks[(c, m)] = len(cur) - sum(1 for support in tgt if support <= inside)
                 cur = [nxt[k] for k in cur if nxt[k] >= 0]
         return self._multiset_from_rank_table(ranks)
 
@@ -394,7 +401,8 @@ class NakayamaAlgebra:
             if len(chosen) == self.e:
                 out.append(tuple(chosen))
                 return
-            for k in range(start, len(mods)):
+            # start only where enough modules remain to reach e members
+            for k in range(start, len(mods) - (self.e - len(chosen)) + 1):
                 m = mods[k]
                 if all((m, c) in compatible for c in chosen):
                     chosen.append(m)
@@ -441,16 +449,19 @@ class NakayamaAlgebra:
         return True
 
     def _minimize(self, copies, subcat, m):
+        """Drop copies in order while the rest still covers.
+
+        _covers is monotone (fewer copies span less), so a copy kept once
+        stays needed after later drops, and one pass suffices.
+        """
         copies = sorted(copies)
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(copies)):
-                trial = copies[:k] + copies[k + 1 :]
-                if self._covers(trial, subcat, m):
-                    copies = trial
-                    changed = True
-                    break
+        k = 0
+        while k < len(copies):
+            trial = copies[:k] + copies[k + 1 :]
+            if self._covers(trial, subcat, m):
+                copies = trial
+            else:
+                k += 1
         return copies
 
     def _strip_projectives(self, mods: Multiset) -> Multiset:
@@ -461,20 +472,25 @@ class NakayamaAlgebra:
 
         Pushout of the projective presentation of m along the stacked depth
         maps; returned as a full summand multiset (projectives included).
+        Relation j identifies the image of the j-th basis vector of Omega(m)
+        in the copies with its image in the cover P.  Giving (ci, k) degree
+        k - depth_ci and (P, k) degree k - length(m) puts relation j in
+        degree j, as _decompose_quotient requires.
         """
         om = self.omega(m)
         cover = self.projective(m.top)
         order = tuple([t for t, _ in copies] + [cover])
-        basis = self._rep_basis(order)
         index = self._rep_index(order)
+        last = len(order) - 1
         rels = []
         for j in range(om.length):
-            vec = [0] * len(basis)
-            for ci, (t, depth) in enumerate(copies):
-                if depth + j < t.length:
-                    vec[index[(ci, depth + j)]] += 1
-            vec[index[(len(order) - 1, m.length + j)]] -= 1
-            rels.append((self._col(om.top + j), tuple(vec)))
+            support = {
+                index[(ci, depth + j)]
+                for ci, (t, depth) in enumerate(copies)
+                if depth + j < t.length
+            }
+            support.add(index[(last, m.length + j)])
+            rels.append((self._col(om.top + j), frozenset(support)))
         return self._decompose_quotient(order, rels)
 
     def _sole_nonprojective(self, mods: Multiset) -> SerialModule:
@@ -630,27 +646,29 @@ class _GenerationEngine:
     def _single_strand_closure(self) -> frozenset:
         """Fixpoint of layer steps whose middle is one strand plus projectives.
 
-        Sub-objects run over one- and two-part multisets from the current
-        closure, quotients over single system members; every such step is
-        literally a generation step, so membership here is sound.
+        Sub-objects run over one- and two-part multisets from the closure,
+        quotients over single system members; every such step is literally
+        a generation step, so membership here is sound.  The steps are
+        monotone in the closure, so a worklist reaches the same least
+        fixpoint as repeated full passes: each member is taken once and
+        tried only in the sub-objects that contain it, paired with itself
+        and the members taken before it.
         """
         if self._closure is None:
             A = self.algebra
             closure = set(self.system)
-            changed = True
-            while changed:
-                changed = False
-                members = sorted(closure)
-                subs = [(x,) for x in members] + [
-                    (x1, x2) for i, x1 in enumerate(members) for x2 in members[i:]
-                ]
-                for sub in subs:
+            work = list(self.system)
+            taken: list[SerialModule] = []
+            while work:
+                x = work.pop()
+                taken.append(x)
+                for sub in [(x,)] + [_canon((x, y)) for y in taken]:
                     for z in self.system:
                         for middle in A.extension_middles(sub, z):
                             strands = A._strip_projectives(middle)
                             if len(strands) == 1 and strands[0] not in closure:
                                 closure.add(strands[0])
-                                changed = True
+                                work.append(strands[0])
             self._closure = frozenset(closure)
         return self._closure
 

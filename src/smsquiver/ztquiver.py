@@ -25,6 +25,14 @@ class WindowTooSmallError(ValueError):
     """A hom computation was asked to run in a window that cannot hold it."""
 
 
+class CoveringError(RuntimeError):
+    """The covering ZQ -> ZQ / <zeta tau^{-r}> broke one of its invariants."""
+
+
+class MeshSymmetryError(RuntimeError):
+    """A built quotient is not a stable translation quiver."""
+
+
 def arrows_out(graph: DynkinGraph, v: ZVert) -> list[ZVert]:
     p, q = v
     out = []
@@ -143,16 +151,13 @@ class StableTranslationQuiver:
     def canonical(self, v: ZVert) -> ZVert:
         m = self._node_orbit_len(v[1])
         period = m * self.r
-        best = None
+        cands = []
         w = v
         for _ in range(m):
             p, q = w
-            cand = (p % period, q)
-            if best is None or cand < best:
-                best = cand
+            cands.append((p % period, q))
             w = self.deck(w)
-        assert best is not None
-        return best
+        return min(cands)
 
     def tau_of(self, v: ZVert) -> ZVert:
         return self.tau[v]
@@ -163,7 +168,8 @@ class StableTranslationQuiver:
             raise ValueError("copies must be >= 1")
         base = self.canonical(v)
         lifts = [self.deck(base, k) for k in range(copies)]
-        assert all(a[0] < b[0] for a, b in zip(lifts, lifts[1:]))
+        if any(a[0] >= b[0] for a, b in zip(lifts, lifts[1:])):
+            raise CoveringError(f"lifts of {v} are not ascending by level: {lifts}")
         return lifts
 
     def arrows_out_of(self, v: ZVert) -> list[ZVert]:
@@ -208,12 +214,14 @@ def quotient(t: RfsType) -> StableTranslationQuiver:
                 seen.add(c)
                 verts.append(c)
     verts.sort()
-    assert len(verts) == graph.rank * r
+    if len(verts) != graph.rank * r:
+        raise CoveringError(f"{t}: {len(verts)} vertices, expected {graph.rank * r}")
 
     arrows = []
     for v in verts:
         outs = [q.canonical(w) for w in arrows_out(graph, v)]
-        assert len(set(outs)) == len(outs)
+        if len(set(outs)) != len(outs):
+            raise CoveringError(f"{t}: arrows out of {v} collide in the quotient")
         arrows.extend((v, w) for w in outs)
     tau = {v: q.canonical((v[0] - 1, v[1])) for v in verts}
 
@@ -225,9 +233,10 @@ def quotient(t: RfsType) -> StableTranslationQuiver:
 def _check_mesh_symmetry(q: StableTranslationQuiver) -> None:
     arrow_set = set(q.arrows)
     for u, v in arrow_set:
-        assert (q.tau[v], u) in arrow_set, f"mesh asymmetry at {v}"
-    # tau must be a bijection
-    assert sorted(q.tau.values()) == sorted(q.vertices)
+        if (q.tau[v], u) not in arrow_set:
+            raise MeshSymmetryError(f"mesh asymmetry at {v}")
+    if sorted(q.tau.values()) != sorted(q.vertices):
+        raise MeshSymmetryError("tau is not a bijection of the vertices")
 
 
 def automorphisms(q: StableTranslationQuiver) -> list[dict]:

@@ -5,6 +5,7 @@ import pytest
 from smsquiver.dynkin import (
     DynkinGraph,
     InvalidTypeError,
+    RfsInvariantError,
     RfsType,
     admissible_group,
     coxeter_number,
@@ -101,6 +102,14 @@ def test_admissible_group_examples():
         t = parse_type(text)
         r, _ = admissible_group(t)
         assert Fraction(r, t.coxeter - 1) == t.frequency
+
+
+def test_broken_deck_automorphism_raises(monkeypatch):
+    from smsquiver import dynkin
+
+    monkeypatch.setattr(dynkin, "order2_automorphism", dynkin.identity_automorphism)
+    with pytest.raises(RfsInvariantError, match="order 1"):
+        admissible_group(parse_type("A:5/f=1/t=2"))
 
 
 def test_num_simples_examples():

@@ -2,14 +2,20 @@
 
 `brute_hom_dims` solves the intertwiner equations for graded maps
 directly, with no knowledge of the depth-basis shortcut used in
-production.
+production.  The generation engine is pinned the same way: pushout
+middles against integer elimination on the explicit relation rows, the
+worklist closure against repeated full passes, and the pruned and
+single-pass searches against their exhaustive and restarting forms.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smsquiver.linalg import SpanTracker
+from smsquiver.linalg import SpanTracker, integer_rank
 from smsquiver.nakayama import (
     BoundExceededError,
     ConeDecompositionError,
@@ -355,3 +361,194 @@ def test_parse_algebra():
         NakayamaAlgebra(0, 3)
     with pytest.raises(ValueError):
         NakayamaAlgebra(2, 1)
+
+
+def algebras_up_to(bound):
+    """Every N(e, L) with e(L-1) <= bound."""
+    return [
+        NakayamaAlgebra(e, L)
+        for e in range(1, bound + 1)
+        for L in range(2, bound // e + 2)
+    ]
+
+
+def reference_pushout_middle(A, m, copies):
+    """Pushout middle by integer elimination on the explicit relation rows.
+
+    Ranks of x^k on each colour slice of the quotient are the rank of the
+    target colour's relation rows plus the unit rows of x^k W_c, minus the
+    rank of the relation rows alone.
+    """
+    om = A.omega(m)
+    order = [t for t, _ in copies] + [A.projective(m.top)]
+    basis = [(i, j) for i, comp in enumerate(order) for j in range(comp.length)]
+    index = {b: k for k, b in enumerate(basis)}
+    rels = {}
+    for j in range(om.length):
+        vec = [0] * len(basis)
+        for ci, (t, depth) in enumerate(copies):
+            if depth + j < t.length:
+                vec[index[(ci, depth + j)]] += 1
+        vec[index[(len(order) - 1, m.length + j)]] -= 1
+        rels.setdefault(A._col(om.top + j), []).append(vec)
+    by_colour = {}
+    for i, j in basis:
+        by_colour.setdefault(A._col(order[i].top + j), []).append((i, j))
+    ranks = {}
+    for c, cur in by_colour.items():
+        for k in range(A.L + 2):
+            if not cur:
+                ranks[(c, k)] = 0
+                break
+            tgt = rels.get(A._col(c + k), [])
+            units = []
+            for b in cur:
+                unit = [0] * len(basis)
+                unit[index[b]] = 1
+                units.append(unit)
+            ranks[(c, k)] = integer_rank(tgt + units) - integer_rank(tgt)
+            cur = [(i, j + 1) for i, j in cur if j + 1 < order[i].length]
+    return A._multiset_from_rank_table(ranks)
+
+
+def depth_maps_from_syzygy(A, quot):
+    """Every (x, depth) with phi_depth : Omega(quot) -> x a module map."""
+    om = A.omega(quot)
+    return [(x, d) for x in A.indecomposables() for d in A.hom_depths(om, x)]
+
+
+def test_pushout_middles_match_elimination_on_small_stacks():
+    # 7,268 stacks; e(L-1) <= 16 has 294,518, most of them over N(1, L),
+    # which the elimination reference takes many minutes to check
+    checked = 0
+    for A in algebras_up_to(8):
+        for quot in A.indecomposables():
+            maps = depth_maps_from_syzygy(A, quot)
+            stacks = [(c,) for c in maps] + list(
+                itertools.combinations_with_replacement(maps, 2)
+            )
+            for copies in stacks:
+                assert A._pushout_middle(quot, copies) == reference_pushout_middle(
+                    A, quot, copies
+                ), (A, quot, copies)
+                checked += 1
+    assert checked > 0
+
+
+@st.composite
+def deep_stacks(draw):
+    A = draw(st.sampled_from(algebras_up_to(16)))
+    quot = draw(st.sampled_from(A.indecomposables()))
+    maps = depth_maps_from_syzygy(A, quot)
+    copies = draw(st.lists(st.sampled_from(maps), min_size=3, max_size=5))
+    return A, quot, tuple(copies)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(deep_stacks())
+def test_pushout_middles_match_elimination_on_deep_stacks(case):
+    A, quot, copies = case
+    assert A._pushout_middle(quot, copies) == reference_pushout_middle(A, quot, copies)
+
+
+def reference_single_strand_closure(A, system):
+    """Repeat full passes over every 1- and 2-part sub until nothing is added."""
+    closure = set(system)
+    changed = True
+    while changed:
+        changed = False
+        members = sorted(closure)
+        subs = [(x,) for x in members] + [
+            (x1, x2) for i, x1 in enumerate(members) for x2 in members[i:]
+        ]
+        for sub in subs:
+            for z in system:
+                for middle in A.extension_middles(sub, z):
+                    strands = A._strip_projectives(middle)
+                    if len(strands) == 1 and strands[0] not in closure:
+                        closure.add(strands[0])
+                        changed = True
+    return frozenset(closure)
+
+
+def test_worklist_closure_matches_full_passes():
+    checked = 0
+    for A in algebras_up_to(16):
+        for cand in A.orthogonal_candidates():
+            engine = A.generation_engine(cand)
+            assert engine._single_strand_closure() == reference_single_strand_closure(
+                A, cand
+            ), (A, cand)
+            checked += 1
+    assert checked > 0
+
+
+def unpruned_orthogonal_candidates(A):
+    """Walk every subset of the schurian modules, with no size bound."""
+    mods = [m for m in A.indecomposables() if A.stable_hom_dim(m, m) == 1]
+    out = []
+
+    def extend(start, chosen):
+        if len(chosen) == A.e:
+            out.append(tuple(chosen))
+            return
+        for k in range(start, len(mods)):
+            m = mods[k]
+            if all(
+                A.stable_hom_dim(m, c) == 0 and A.stable_hom_dim(c, m) == 0
+                for c in chosen
+            ):
+                chosen.append(m)
+                extend(k + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return out
+
+
+def test_pruned_candidates_match_exhaustive_walk():
+    for A in algebras_up_to(12):
+        assert A.orthogonal_candidates() == unpruned_orthogonal_candidates(A), A
+
+
+def test_all_sms_on_many_simples_and_short_loewy_length():
+    # every module of N(24, 2) is simple: the simples are the only system
+    A = NakayamaAlgebra(24, 2)
+    assert A.all_sms() == [A.simples()]
+
+
+def restarting_minimize(A, copies, subcat, m):
+    """Drop the first removable copy, then rescan from the start."""
+    copies = sorted(copies)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(copies)):
+            trial = copies[:k] + copies[k + 1 :]
+            if A._covers(trial, subcat, m):
+                copies = trial
+                changed = True
+                break
+    return copies
+
+
+@pytest.mark.parametrize("e,L", [(3, 4), (4, 5), (1, 8)])
+def test_single_pass_minimize_matches_restarts(e, L):
+    # mutate_left approximates Omega(m) for m in S \ X by the closure of X;
+    # every indecomposable m is taken, because over N(1, L) the only
+    # nu-stable subset is the whole one-member system
+    from smsquiver.mutation import _nu_stable_subsets, nu_orbit_partition
+
+    A = NakayamaAlgebra(e, L)
+    checked = 0
+    for S in A.all_sms():
+        for sub in _nu_stable_subsets(nu_orbit_partition(A, S)):
+            closure = A.ext_closure(sub)
+            for m in A.indecomposables():
+                om = A.omega(m)
+                copies = [(t, d) for t in closure for d in A.stable_hom_basis(om, t)]
+                assert A._minimize(copies, closure, om) == restarting_minimize(
+                    A, copies, closure, om
+                ), (S, sub, m)
+                checked += 1
+    assert checked > 0

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
 from smsquiver.dynkin import DynkinGraph, parse_type
 from smsquiver.ztquiver import (
+    CoveringError,
+    MeshSymmetryError,
     Window,
+    _check_mesh_symmetry,
     arrows_in,
     arrows_out,
     automorphisms,
@@ -67,6 +71,21 @@ def test_quotient_tau_and_mesh():
     # projection commutes with tau
     for v in q.vertices:
         assert q.tau[v] == q.canonical((v[0] - 1, v[1]))
+
+
+def test_broken_quotients_raise_named_errors(monkeypatch):
+    q = quotient(parse_type("A:3/f=1/t=2"))
+    with pytest.raises(MeshSymmetryError, match="mesh asymmetry"):
+        _check_mesh_symmetry(dataclasses.replace(q, arrows=q.arrows[1:]))
+    first = q.vertices[0]
+    with pytest.raises(MeshSymmetryError, match="bijection"):
+        _check_mesh_symmetry(
+            dataclasses.replace(q, arrows=(), tau={v: first for v in q.vertices})
+        )
+    # a deck generator that fixes every vertex cannot cover the quotient
+    monkeypatch.setattr(type(q), "deck", lambda self, v, power=1: v)
+    with pytest.raises(CoveringError, match="ascending"):
+        q.lift(first, 2)
 
 
 def test_lift_project_round_trip():
