@@ -16,6 +16,8 @@ import sys
 from .brauer import count_brauer_trees, count_marked_extremal_trees
 from .configs import enumerate_configurations, orbit_decomposition
 from .dynkin import (
+    InvalidTypeError,
+    RfsType,
     admissible_group,
     family_letter,
     has_nonstandard_counterpart,
@@ -28,6 +30,14 @@ from .meshcat import quotient_hom_table
 from .mutation import build_mutation_quiver, nu_orbit_partition
 from .nakayama import NakayamaAlgebra, parse_algebra
 from .ztquiver import quotient
+
+
+def _type_arg(text: str) -> RfsType:
+    """Parse a type argument; a string that does not parse exits with 2."""
+    try:
+        return parse_type(text)
+    except (InvalidTypeError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_sms(algebra: NakayamaAlgebra, text: str):
@@ -65,7 +75,7 @@ def _emit(lines, out):
 
 
 def cmd_classify(args, out) -> int:
-    t = parse_type(args.type)
+    t = args.type
     ok, diag = validate_rfs_type(t)
     if args.format == "json":
         payload = {"schema": 1, "type": t.to_json(), "valid": ok, "diagnostic": diag}
@@ -101,7 +111,7 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_hom(args, out) -> int:
-    q = quotient(parse_type(args.type))
+    q = quotient(args.type)
     table = quotient_hom_table(q)
     if args.format == "json":
         payload = {
@@ -127,7 +137,7 @@ def cmd_hom(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    q = quotient(parse_type(args.type))
+    q = quotient(args.type)
     configs = enumerate_configurations(q)
     if args.format == "json":
         payload = {
@@ -142,7 +152,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_orbits(args, out) -> int:
-    q = quotient(parse_type(args.type))
+    q = quotient(args.type)
     orbits = orbit_decomposition(q, enumerate_configurations(q))
     if args.format == "json":
         payload = {
@@ -279,22 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="validate and describe an RFS type")
-    p.add_argument("type", help="type string, e.g. A:5/f=1/t=2")
+    p.add_argument("type", type=_type_arg, help="type string, e.g. A:5/f=1/t=2")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("hom", help="stable hom dimension table of a quotient")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=_type_arg, required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_hom)
 
     p = sub.add_parser("enumerate", help="list all configurations")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=_type_arg, required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("orbits", help="configuration orbits under automorphisms")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=_type_arg, required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_orbits)
 

@@ -3,10 +3,13 @@
 A configuration is a vertex subset that is hom-orthogonal in the mesh
 category of the quotient (one-dimensional endomorphisms, no homs between
 distinct members) and covers every vertex (each vertex admits a nonzero
-hom into some member).  Enumeration backtracks over vertices in (node,
-level) order with orthogonality and covering-feasibility pruning; the
-cardinality of every configuration equals the simple count of the type,
-which is used as a cutoff.
+hom into some member).  Enumeration grows cliques of the orthogonality
+graph over candidates in (node, level) order, with one Python-int bit mask
+per candidate for its orthogonal partners and one per vertex for the
+candidates it covers; a branch is cut when too few candidates remain or
+some vertex can no longer be covered.  The cardinality of every
+configuration equals the simple count of the type, which is used as a
+cutoff.
 """
 
 from __future__ import annotations
@@ -50,40 +53,40 @@ def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
         (v for v in q.vertices if table[(v, v)] == 1),
         key=lambda v: (v[1], v[0]),
     )
-    orthogonal = {
-        (a, b)
+    # bit k stands for candidates[k]; orth[k]: candidates orthogonal to it
+    orth = [
+        sum(
+            1 << j
+            for j, b in enumerate(candidates)
+            if a != b and not table[(a, b)] and not table[(b, a)]
+        )
         for a in candidates
-        for b in candidates
-        if a != b and not table[(a, b)] and not table[(b, a)]
-    }
-    # coverers[v]: candidate members receiving a nonzero hom from v
-    coverers = {
-        v: frozenset(c for c in candidates if table[(v, c)]) for v in q.vertices
-    }
+    ]
+    # one mask per vertex v: the candidates receiving a nonzero hom from v
+    coverers = [
+        sum(1 << k for k, c in enumerate(candidates) if table[(v, c)])
+        for v in q.vertices
+    ]
     out: list[Config] = []
 
-    def extend(start: int, chosen: list[ZVert]):
-        if len(chosen) == card:
-            members = set(chosen)
-            if all(coverers[v] & members for v in q.vertices):
-                out.append(tuple(sorted(chosen)))
+    def extend(chosen: int, size: int, pool: int):
+        # pool: candidates above the last chosen one, orthogonal to all chosen
+        if size == card:
+            if all(c & chosen for c in coverers):
+                members = (v for k, v in enumerate(candidates) if chosen >> k & 1)
+                out.append(tuple(sorted(members)))
             return
-        pool = [
-            k
-            for k in range(start, len(candidates))
-            if all((candidates[k], c) in orthogonal for c in chosen)
-        ]
-        if len(chosen) + len(pool) < card:
+        if size + pool.bit_count() < card:
             return
-        avail = set(chosen) | {candidates[k] for k in pool}
-        if not all(coverers[v] & avail for v in q.vertices):
+        avail = chosen | pool
+        if not all(c & avail for c in coverers):
             return
-        for k in pool:
-            chosen.append(candidates[k])
-            extend(k + 1, chosen)
-            chosen.pop()
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            extend(chosen | low, size + 1, pool & orth[low.bit_length() - 1])
 
-    extend(0, [])
+    extend(0, 0, (1 << len(candidates)) - 1)
     return sorted(set(out))
 
 

@@ -11,7 +11,9 @@ Two routes are provided and must agree:
   arrows minus the value at tau(v), clamped at zero).  Its clamping rule is
   validated against the oracle by the test suite, never assumed.
 
-Quotient homs are covering sums over deck-group lifts of the target.
+Quotient homs are covering sums: each row pushes the ZQ table of its source
+forward along the covering ZQ -> ZQ / <zeta tau^{-r}>, so every lift of the
+target inside the support band contributes once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .ztquiver import (
 )
 
 CACHE_ENV = "SMSQUIVER_CACHE_DIR"
+CACHE_SCHEMA = 2  # in every cache file name, so files of older schemas are never read
 
 
 class SupportBandError(AssertionError):
@@ -150,11 +153,12 @@ def fast_table(graph: DynkinGraph, source: ZVert, window=None) -> HomTable:
 
 
 def _assert_support_band(table: HomTable) -> None:
+    """Nonzero homs from the source lie on its nodes within h slices ahead."""
     h = coxeter_number(table.graph)
     for (p, q), d in table.dims.items():
-        if d and p - table.source[0] > h:
+        if d and not (0 <= p - table.source[0] <= h and q in table.graph.nodes):
             raise SupportBandError(
-                f"hom({table.source},({p},{q})) = {d} beyond {h} slices"
+                f"hom({table.source},({p},{q})) = {d} outside the {h}-slice band"
             )
 
 
@@ -181,20 +185,31 @@ def _cache_path(key) -> str | None:
         return None
     fam, rank, node, oracle = key
     tag = "oracle" if oracle else "fast"
-    return os.path.join(root, f"hom_{fam}{rank}_q{node}_{tag}.json")
+    return os.path.join(root, f"hom_v{CACHE_SCHEMA}_{fam}{rank}_q{node}_{tag}.json")
 
 
 def _load_cached(key) -> HomTable | None:
+    """The stored table, or None (a miss) when the file is absent,
+    unreadable, malformed or has a nonzero entry outside the support band."""
     path = _cache_path(key)
     if not path or not os.path.exists(path):
         return None
-    with open(path) as fh:
-        raw = json.load(fh)
-    if raw.get("schema") != 1:
-        return None
-    dims = {(int(p), int(q)): d for p, q, d in raw["dims"]}
     fam, rank, node, _ = key
-    return HomTable(DynkinGraph(fam, rank), (0, node), tuple(raw["window"]), dims)
+    graph = DynkinGraph(fam, rank)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if raw["schema"] != CACHE_SCHEMA:
+            return None
+        window = tuple(int(x) for x in raw["window"])
+        if window != (0, 2 * coxeter_number(graph) + 1):
+            return None
+        dims = {(int(p), int(q)): int(d) for p, q, d in raw["dims"]}
+        table = HomTable(graph, (0, node), window, dims)
+        _assert_support_band(table)
+    except (OSError, ValueError, KeyError, TypeError, SupportBandError):
+        return None
+    return table
 
 
 def _store_cached(key, table: HomTable) -> None:
@@ -203,7 +218,7 @@ def _store_cached(key, table: HomTable) -> None:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = {
-        "schema": 1,
+        "schema": CACHE_SCHEMA,
         "window": list(table.window),
         "dims": sorted([p, q, d] for (p, q), d in table.dims.items() if d),
     }
@@ -244,28 +259,20 @@ _quotient_cache: dict[str, dict] = {}
 
 
 def quotient_hom_table(q: StableTranslationQuiver) -> dict:
-    """All-pairs stable hom dimensions of a quotient, computed once."""
+    """All-pairs stable hom dimensions of a quotient, computed once.
+
+    Row e pushes the table of (0, e[1]) forward along the covering: by
+    tau-equivariance that table, shifted by e[0] levels, is Hom(e, -) on
+    ZQ, and each nonzero entry lands on the projection of its vertex.
+    """
     key = str(q.rfs_type)
     cached = _quotient_cache.get(key)
     if cached is not None:
         return cached
-    graph = q.graph
-    h = coxeter_number(graph)
-    table: dict[tuple[ZVert, ZVert], int] = {}
+    table = {(e, f): 0 for e in q.vertices for f in q.vertices}
     for e in q.vertices:
-        source_table = _cached_table(graph, e[1])
-        for f in q.vertices:
-            # sum over all deck translates of f whose level falls in the
-            # support band; translates outside [0, 2h] contribute nothing
-            # (guarded by the band assertion on the table itself).
-            lo = -((f[0] + 3 * h) // q.r + 3)
-            hi = (e[0] + 3 * h) // q.r + 3
-            total = 0
-            for j in range(lo, hi + 1):
-                lift = q.deck(f, j)
-                rel = (lift[0] - e[0], lift[1])
-                if 0 <= rel[0] <= 2 * h:
-                    total += source_table.dim(rel)
-            table[(e, f)] = total
+        for (p, node), d in _cached_table(q.graph, e[1]).dims.items():
+            if d:
+                table[(e, q.canonical((e[0] + p, node)))] += d
     _quotient_cache[key] = table
     return table

@@ -242,73 +242,69 @@ def _check_mesh_symmetry(q: StableTranslationQuiver) -> None:
 def automorphisms(q: StableTranslationQuiver) -> list[dict]:
     """All arrow-preserving vertex permutations commuting with tau.
 
-    Plain backtracking over tau-orbit representatives; images are pruned
-    by in/out-degree and tau-orbit length.  Output is sorted and therefore
-    deterministic; the identity and the residue of tau itself are members.
+    Backtracking over tau-orbits, placed breadth first from the orbit of
+    the first vertex.  That orbit may go to any orbit of the same length
+    and degrees.  Every later orbit is entered by an arrow to or from an
+    orbit already placed, so its entry vertex can only go to an out- or
+    in-neighbour of the anchor's image, and only the arrows touching the
+    new orbit are checked.  Output is sorted and therefore deterministic;
+    the identity and the residue of tau itself are members.
     """
-    verts = list(q.vertices)
+    verts = q.vertices
     arrow_set = set(q.arrows)
-    outs = {v: sorted(q.arrows_out_of(v)) for v in verts}
+    outs: dict[ZVert, list[ZVert]] = {v: [] for v in verts}
     ins: dict[ZVert, list[ZVert]] = {v: [] for v in verts}
-    for u, v in arrow_set:
+    for u, v in q.arrows:
+        outs[u].append(v)
         ins[v].append(u)
 
-    orbit_of: dict[ZVert, int] = {}
-    orbits: list[list[ZVert]] = []
-    for v in verts:
-        if v in orbit_of:
-            continue
-        orb = [v]
-        orbit_of[v] = len(orbits)
-        w = q.tau[v]
+    def tau_orbit(v: ZVert) -> list[ZVert]:
+        orb, w = [v], q.tau[v]
         while w != v:
-            orbit_of[w] = len(orbits)
             orb.append(w)
             w = q.tau[w]
-        orbits.append(orb)
+        return orb
 
-    def invariant(v: ZVert):
-        return (len(ins[v]), len(outs[v]), len(orbits[orbit_of[v]]))
+    # steps[i] = (anchor, nbrs, orbit): the orbit is listed from its entry
+    # vertex x, and x is in nbrs[anchor] for an anchor of an earlier step
+    first = tau_orbit(verts[0])
+    step_of = dict.fromkeys(first, 0)
+    steps = [(None, None, first)]
+    for _, _, orb in steps:
+        for a in orb:
+            for nbrs in (outs, ins):
+                for x in nbrs[a]:
+                    if x not in step_of:
+                        entered = tau_orbit(x)
+                        step_of.update(dict.fromkeys(entered, len(steps)))
+                        steps.append((a, nbrs, entered))
+    if len(step_of) != len(verts):
+        raise CoveringError(f"{q.rfs_type}: the quotient is not connected modulo tau")
+    # the arrows checked when step i is placed: both ends placed, one in step i
+    checks: list[list[tuple[ZVert, ZVert]]] = [[] for _ in steps]
+    for u, v in q.arrows:
+        checks[max(step_of[u], step_of[v])].append((u, v))
 
-    reps = [orb[0] for orb in orbits]
     found: list[dict] = []
 
-    def consistent(phi: dict) -> bool:
-        for u, v in arrow_set:
-            pu, pv = phi.get(u), phi.get(v)
-            if pu is not None and pv is not None and (pu, pv) not in arrow_set:
-                return False
-        return True
-
     def extend(i: int, phi: dict, used: set):
-        if i == len(reps):
-            found.append(dict(phi))
+        if i == len(steps):
+            found.append({v: phi[v] for v in verts})
             return
-        v = reps[i]
-        orb = orbits[orbit_of[v]]
-        for w in verts:
-            if w in used or invariant(w) != invariant(v):
+        anchor, nbrs, orb = steps[i]
+        degrees = (len(ins[orb[0]]), len(outs[orb[0]]))
+        for w in verts if anchor is None else nbrs[phi[anchor]]:
+            if (len(ins[w]), len(outs[w])) != degrees:
                 continue
-            # propagate along the tau-orbit and check closure
-            images = []
-            cur = w
-            ok = True
-            for _ in orb:
-                if cur in used or cur in images:
-                    ok = False
-                    break
-                images.append(cur)
-                cur = q.tau[cur]
-            if not ok or cur != w:
+            images = tau_orbit(w)
+            if len(images) != len(orb) or used.intersection(images):
                 continue
-            for a, b in zip(orb, images):
-                phi[a] = b
-            if consistent(phi):
-                extend(i + 1, phi, used | set(images))
-            for a in orb:
-                del phi[a]
+            phi.update(zip(orb, images))
+            if all((phi[u], phi[v]) in arrow_set for u, v in checks[i]):
+                extend(i + 1, phi, used.union(images))
+            for v in orb:
+                del phi[v]
 
     extend(0, {}, set())
-    full = [phi for phi in found if sorted(phi.values()) == sorted(verts)]
-    full.sort(key=lambda phi: tuple(phi[v] for v in verts))
-    return full
+    found.sort(key=lambda phi: tuple(phi[v] for v in verts))
+    return found

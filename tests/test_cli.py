@@ -148,3 +148,21 @@ def test_check_subset():
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert all("[pass]" in line for line in lines)
+
+
+def test_python_dash_m_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "smsquiver", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    assert run("--help").returncode == 0
+    for text in ("Q:9/f=1/t=1", "A:2/f=1", "E:9/f=1/t=1", "A:2/f=1/0/t=1"):
+        proc = run("orbits", "--type", text)
+        assert proc.returncode == 2, text
+        assert "argument --type" in proc.stderr

@@ -1,8 +1,10 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from smsquiver.configs import (
+    _type_grid,
     enumerate_configurations,
     in_single_orbit_list,
     is_configuration,
@@ -23,6 +25,62 @@ def test_every_enumerated_configuration_passes_the_checker():
             ok, diag = is_configuration(q, c)
             assert ok, (text, c, diag)
             assert len(c) == num_simples(q.rfs_type)
+
+
+def reference_enumeration(q):
+    """Backtracking over candidates in (node, level) order with set-based
+    orthogonality and covering-feasibility pruning."""
+    card = num_simples(q.rfs_type)
+    table = quotient_hom_table(q)
+    candidates = sorted(
+        (v for v in q.vertices if table[(v, v)] == 1),
+        key=lambda v: (v[1], v[0]),
+    )
+    orthogonal = {
+        (a, b)
+        for a in candidates
+        for b in candidates
+        if a != b and not table[(a, b)] and not table[(b, a)]
+    }
+    coverers = {
+        v: frozenset(c for c in candidates if table[(v, c)]) for v in q.vertices
+    }
+    out = []
+
+    def extend(start, chosen):
+        if len(chosen) == card:
+            members = set(chosen)
+            if all(coverers[v] & members for v in q.vertices):
+                out.append(tuple(sorted(chosen)))
+            return
+        pool = [
+            k
+            for k in range(start, len(candidates))
+            if all((candidates[k], c) in orthogonal for c in chosen)
+        ]
+        if len(chosen) + len(pool) < card:
+            return
+        avail = set(chosen) | {candidates[k] for k in pool}
+        if not all(coverers[v] & avail for v in q.vertices):
+            return
+        for k in pool:
+            chosen.append(candidates[k])
+            extend(k + 1, chosen)
+            chosen.pop()
+
+    extend(0, [])
+    return sorted(set(out))
+
+
+def test_bitmask_cliques_match_set_based_backtracking():
+    # the reference takes 8 to 100 s on each quotient with more than 100
+    # vertices (D6 and D7 at f=2), so those are left out
+    types = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
+    for text in types:
+        q = quotient(parse_type(text))
+        if len(q.vertices) > 100:
+            continue
+        assert enumerate_configurations(q) == reference_enumeration(q), text
 
 
 def test_empty_set_fails_covering():
@@ -143,3 +201,32 @@ def test_e6_enumeration_behind_the_flag():
     orbits = orbit_decomposition(q, configs)
     assert len(orbits) == 22
     assert len(orbits) > 1
+
+
+# Configurations of ZQ / tau^(h-1) for Q of type A, D, E (f=1, t=1) are
+# counted by the positive Catalan numbers N+(Q) of Fomin and Zelevinsky
+# ("Y-systems and generalized associahedra", Ann. Math. 2003): C(n) for
+# A_n, (3n-4)/n * binom(2n-3, n-1) for D_n, and 418, 2431, 17342 for E.
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_type_counts_are_catalan(n):
+    q = quotient(parse_type(f"A:{n}/f=1/t=1"))
+    assert len(enumerate_configurations(q)) == comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,count", [(4, 20), (5, 77), (6, 294), (7, 1122)])
+def test_d_type_counts_fit_the_closed_form(n, count):
+    assert (3 * n - 4) * comb(2 * n - 3, n - 1) == n * count
+    q = quotient(parse_type(f"D:{n}/f=1/t=1"))
+    assert len(enumerate_configurations(q)) == count
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,count", [(7, 2431), (8, 17342)])
+def test_e_type_counts(n, count):
+    # E6 (418) is pinned by test_e6_enumeration_behind_the_flag
+    q = quotient(parse_type(f"E:{n}/f=1/t=1"))
+    assert len(enumerate_configurations(q)) == count

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smsquiver.configs import _type_grid
 from smsquiver.dynkin import DynkinGraph, parse_type
 from smsquiver.ztquiver import (
     CoveringError,
@@ -133,6 +137,123 @@ def test_automorphism_group_axioms_small_quotients():
             for psi in auts:
                 comp = {v: psi[phi[v]] for v in q.vertices}
                 assert tuple(sorted(comp.items())) in table
+
+
+def reference_automorphisms(q):
+    """Backtracking over tau-orbit representatives, each tried on every
+    vertex of the same degrees and orbit length, checking every arrow."""
+    verts = list(q.vertices)
+    arrow_set = set(q.arrows)
+    outs = {v: sorted(q.arrows_out_of(v)) for v in verts}
+    ins = {v: [] for v in verts}
+    for u, v in arrow_set:
+        ins[v].append(u)
+
+    orbit_of = {}
+    orbits = []
+    for v in verts:
+        if v in orbit_of:
+            continue
+        orb = [v]
+        orbit_of[v] = len(orbits)
+        w = q.tau[v]
+        while w != v:
+            orbit_of[w] = len(orbits)
+            orb.append(w)
+            w = q.tau[w]
+        orbits.append(orb)
+
+    def invariant(v):
+        return (len(ins[v]), len(outs[v]), len(orbits[orbit_of[v]]))
+
+    reps = [orb[0] for orb in orbits]
+    found = []
+
+    def consistent(phi):
+        for u, v in arrow_set:
+            pu, pv = phi.get(u), phi.get(v)
+            if pu is not None and pv is not None and (pu, pv) not in arrow_set:
+                return False
+        return True
+
+    def extend(i, phi, used):
+        if i == len(reps):
+            found.append(dict(phi))
+            return
+        v = reps[i]
+        orb = orbits[orbit_of[v]]
+        for w in verts:
+            if w in used or invariant(w) != invariant(v):
+                continue
+            images = []
+            cur = w
+            ok = True
+            for _ in orb:
+                if cur in used or cur in images:
+                    ok = False
+                    break
+                images.append(cur)
+                cur = q.tau[cur]
+            if not ok or cur != w:
+                continue
+            for a, b in zip(orb, images):
+                phi[a] = b
+            if consistent(phi):
+                extend(i + 1, phi, used | set(images))
+            for a in orb:
+                del phi[a]
+
+    extend(0, {}, set())
+    full = [phi for phi in found if sorted(phi.values()) == sorted(verts)]
+    full.sort(key=lambda phi: tuple(phi[v] for v in verts))
+    return full
+
+
+def test_anchored_search_matches_all_arrow_backtracking():
+    types = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
+    for text in types:
+        q = quotient(parse_type(text))
+        assert automorphisms(q) == reference_automorphisms(q), text
+
+
+@st.composite
+def small_digraphs(draw):
+    """A connected digraph on 3-6 vertices with tau the identity."""
+    n = draw(st.integers(3, 6))
+    verts = tuple((0, i) for i in range(n))
+    pairs = [(a, b) for a in verts for b in verts if a != b]
+    drawn = st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=2 * n)
+    arrows = set(draw(drawn))
+    # a path through every vertex keeps the digraph connected
+    arrows.update(zip(verts, verts[1:]))
+    return verts, tuple(sorted(arrows))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_digraphs())
+def test_anchored_search_finds_exactly_the_automorphisms(digraph):
+    # off the quotients, anchoring alone does not force arrows onto arrows:
+    # every permutation is tried and the arrow-preserving ones must match
+    verts, arrows = digraph
+    q = dataclasses.replace(
+        quotient(parse_type("A:1/f=1/t=1")),
+        vertices=verts,
+        arrows=arrows,
+        tau={v: v for v in verts},
+    )
+    arrow_set = set(arrows)
+    brute = []
+    for perm in permutations(verts):
+        phi = dict(zip(verts, perm))
+        if all((phi[u], phi[v]) in arrow_set for u, v in arrows):
+            brute.append(phi)
+    assert automorphisms(q) == brute
+
+
+def test_disconnected_quotient_is_reported():
+    q = quotient(parse_type("A:3/f=1/t=2"))
+    with pytest.raises(CoveringError, match="not connected"):
+        automorphisms(dataclasses.replace(q, arrows=()))
 
 
 def test_cycle_rotations_present_for_a1():
