@@ -40,6 +40,27 @@ def _type_arg(text: str) -> RfsType:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _algebra_arg(text: str) -> NakayamaAlgebra:
+    """Parse an algebra argument; a string that does not parse exits with 2."""
+    try:
+        return parse_algebra(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _criteria_arg(text: str) -> set[int]:
+    """Parse `--only`: comma-separated numbers of existing criteria, else exit 2."""
+    from .acceptance import CRITERIA
+
+    known = {number for number, *_ in CRITERIA}
+    tokens = text.split(",")
+    if not all(t.isdecimal() and int(t) in known for t in tokens):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated criterion numbers from {sorted(known)}, got {text!r}"
+        )
+    return {int(t) for t in tokens}
+
+
 def _parse_sms(algebra: NakayamaAlgebra, text: str):
     if text == "simples":
         return algebra.simples()
@@ -210,7 +231,7 @@ def _render_system(algebra, system):
 
 
 def cmd_sms(args, out) -> int:
-    algebra = parse_algebra(args.algebra)
+    algebra = args.algebra
     systems = algebra.all_sms(bound=args.bound)
     if args.format == "json":
         payload = {
@@ -229,7 +250,7 @@ def cmd_sms(args, out) -> int:
 
 
 def cmd_mutate(args, out) -> int:
-    algebra = parse_algebra(args.algebra)
+    algebra = args.algebra
     system = _parse_sms(algebra, args.sms)
     subset = _parse_at(algebra, system, args.at)
     if not args.allow_composite:
@@ -257,7 +278,7 @@ def cmd_mutate(args, out) -> int:
 
 
 def cmd_quiver(args, out) -> int:
-    algebra = parse_algebra(args.algebra)
+    algebra = args.algebra
     start = _parse_sms(algebra, args.start)
     q = build_mutation_quiver(
         algebra,
@@ -273,10 +294,7 @@ def cmd_quiver(args, out) -> int:
 def cmd_check(args, out) -> int:
     from .acceptance import run as run_acceptance
 
-    numbers = None
-    if args.only:
-        numbers = {int(x) for x in args.only.split(",")}
-    results = run_acceptance(numbers, stream=out)
+    results = run_acceptance(args.only, stream=out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -320,14 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_brauer)
 
     p = sub.add_parser("sms", help="list all simple-minded systems")
-    p.add_argument("--algebra", required=True, help="nakayama:e:L")
-    p.add_argument("--list", action="store_true", help="accepted for compatibility")
+    p.add_argument("--algebra", type=_algebra_arg, required=True, help="nakayama:e:L")
     p.add_argument("--bound", type=int, default=24)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_sms)
 
     p = sub.add_parser("mutate", help="mutate a system at a Nakayama-stable subset")
-    p.add_argument("--algebra", required=True)
+    p.add_argument("--algebra", type=_algebra_arg, required=True)
     p.add_argument("--sms", required=True, help="`simples` or top:length pairs")
     p.add_argument("--at", required=True, help="tops or top:length pairs")
     p.add_argument("--dir", choices=("left", "right"), default="left")
@@ -336,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mutate)
 
     p = sub.add_parser("quiver", help="mutation quiver by BFS")
-    p.add_argument("--algebra", required=True)
+    p.add_argument("--algebra", type=_algebra_arg, required=True)
     p.add_argument("--start", default="simples")
     p.add_argument("--dir", choices=("left", "right", "both"), default="left")
     p.add_argument("--allow-composite", action="store_true")
@@ -345,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_quiver)
 
     p = sub.add_parser("check", help="run the acceptance suite")
-    p.add_argument("--only", help="comma-separated criterion numbers")
+    p.add_argument("--only", type=_criteria_arg, help="comma-separated criterion numbers")
     p.set_defaults(fn=cmd_check)
 
     return parser

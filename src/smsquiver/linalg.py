@@ -1,15 +1,19 @@
 """Small exact linear algebra over the rationals.
 
-Everything in this package that needs ranks, kernels or quotient maps goes
-through these helpers, so there are no floating-point tolerances anywhere.
-Matrices are lists of row tuples with Fraction entries and stay tiny
-(dimensions in the tens), hence plain Gaussian elimination is enough.
+The mesh oracle in `meshcat` is the only caller in the package: it ranks
+graded path spaces with `SpanTracker`, so no floating-point tolerance
+appears.  The module backend needs no linear algebra, as its homs are
+sets of depths.  Matrices are lists of row tuples with Fraction entries
+and stay tiny (dimensions in the tens), hence plain Gaussian elimination
+is enough.
 
 `nullspace` and `integer_rank` have no caller in the package.  The tests
-use them as brute-force references: `integer_rank` is the elimination that
-pushout middles were once decomposed with, which the combinatorial
-decomposition in `nakayama` is checked against.  The benchmark tracer
-(perfbench/tracer.py) also counts `integer_rank` calls by name.
+use them, and `SpanTracker`, as brute-force references: `integer_rank` is
+the elimination that pushout middles were once decomposed with, and span
+tracking on explicit hom vectors is how stable bases and minimal
+approximations were once found; the depth-set versions in `nakayama` are
+checked against both.  The benchmark tracer (perfbench/tracer.py) also
+counts `integer_rank` calls by name.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ M(t, l) are t, t+1, ..., t+l-1 read top to socle.
 Everything is computed exactly on explicit graded bases:
 
 * hom spaces have the basis phi_j (top |-> j-th radical layer of the
-  target); maps factoring through projectives are the span of the
-  compositions through the projective cover of the target, found by
-  exact rational linear algebra;
+  target), 0/1 diagonals with disjoint supports for distinct depths, so
+  homs are sets of depths: the stable basis is the depths below
+  L - length(source), and a minimal approximation is the set of basis
+  copies that no other copy maps onto, with no linear algebra;
 * extension middles (pushouts) are decomposed combinatorially: their
   relations are homogeneous of distinct degrees in a grading, so the
   ranks of radical powers follow from counting supports, with no
@@ -32,9 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .linalg import SpanTracker
 
 
 class BoundExceededError(ValueError):
@@ -81,8 +79,6 @@ class NakayamaAlgebra:
             raise ValueError("need e >= 1 and L >= 2")
         self.e = num_simples
         self.L = loewy_length
-        self._stable_dim: dict[tuple[SerialModule, SerialModule], int] = {}
-        self._stable_basis: dict[tuple[SerialModule, SerialModule], tuple[int, ...]] = {}
         self._basis_cache: dict[Multiset, list] = {}
         self._index_cache: dict[Multiset, dict] = {}
         self._shift_cache: dict[Multiset, list] = {}
@@ -142,48 +138,21 @@ class NakayamaAlgebra:
     def hom_dim(self, m: SerialModule, n: SerialModule) -> int:
         return len(self.hom_depths(m, n))
 
-    def _hom_vector(self, m: SerialModule, n: SerialModule, depth: int):
-        """phi_depth as a vector on the (source basis x target basis) grid."""
-        vec = [Fraction(0)] * (m.length * n.length)
-        for i in range(m.length):
-            if depth + i < n.length:
-                vec[i * n.length + depth + i] = Fraction(1)
-        return vec
+    def stable_hom_basis(self, m: SerialModule, n: SerialModule) -> tuple[int, ...]:
+        """Depths whose maps form a basis of Hom(M,N) modulo projectives.
 
-    def _factoring_tracker(self, m: SerialModule, n: SerialModule) -> SpanTracker:
-        """Span of maps M -> N that factor through a projective.
-
-        Factoring through any projective is equivalent to factoring through
-        the projective cover of N, so the span is generated by pi . psi for
-        psi running over Hom(M, P(top N)).
+        A map factors through a projective exactly when it factors through
+        the projective cover P(top N), whose maps from M are the phi_j with
+        j >= L - length(M).  Distinct depths have disjoint supports, so
+        those phi_j span the projectively trivial maps and the rest are a
+        basis of the quotient.
         """
-        tracker = SpanTracker(m.length * n.length)
-        cover = self.projective(n.top)
-        for j in self.hom_depths(m, cover):
-            if j < n.length:
-                tracker.add(self._hom_vector(m, n, j))
-            # layers >= length(N) die under the cover map
-        return tracker
+        return tuple(j for j in self.hom_depths(m, n) if j < self.L - m.length)
 
     def stable_hom_dim(self, m: SerialModule, n: SerialModule) -> int:
         if self.is_projective(m) or self.is_projective(n):
             raise ValueError("stable homs are defined between non-projectives")
-        key = (m, n)
-        if key not in self._stable_dim:
-            tracker = self._factoring_tracker(m, n)
-            base = tracker.rank
-            basis = []
-            for j in self.hom_depths(m, n):
-                if tracker.add(self._hom_vector(m, n, j)):
-                    basis.append(j)
-            self._stable_dim[key] = tracker.rank - base
-            self._stable_basis[key] = tuple(basis)
-        return self._stable_dim[key]
-
-    def stable_hom_basis(self, m: SerialModule, n: SerialModule) -> tuple[int, ...]:
-        """Depths whose maps form a basis of Hom(M,N) modulo projectives."""
-        self.stable_hom_dim(m, n)
-        return self._stable_basis[(m, n)]
+        return len(self.stable_hom_basis(m, n))
 
     # --- syzygies and the Nakayama permutation --------------------------
 
@@ -415,12 +384,26 @@ class NakayamaAlgebra:
     # --- approximations and mutation ------------------------------------
 
     def minimal_left_approximation(self, m: SerialModule, subcat) -> "Approximation":
-        """Minimal left add(subcat)-approximation of m in the stable category."""
+        """Minimal left add(subcat)-approximation of m in the stable category.
+
+        The stable basis maps m -> t, t in subcat, are the candidate copies
+        (t, d).  A copy (u, c) maps onto the copy (t, d) when phi_d factors
+        as phi_{d-c} . phi_c, i.e. when d - c is in hom_depths(u, t).  The
+        composite of two such factorings is again one (d < length(t), so
+        it stays nonzero), and two distinct copies never map onto each
+        other, so this is a strict partial order.  The minimal
+        approximation keeps exactly the copies no other copy maps onto.
+        """
         subcat = _canon(set(subcat))
-        copies = [
-            (t, depth) for t in subcat for depth in self.stable_hom_basis(m, t)
+        copies = [(t, d) for t in subcat for d in self.stable_hom_basis(m, t)]
+        minimal = [
+            (t, d)
+            for t, d in copies
+            if not any(
+                (u, c) != (t, d) and d - c in self.hom_depths(u, t) for u, c in copies
+            )
         ]
-        return Approximation(m, tuple(self._minimize(copies, subcat, m)))
+        return Approximation(m, tuple(sorted(minimal)))
 
     def minimal_right_approximation(self, m: SerialModule, subcat) -> "Approximation":
         """Minimal right add(subcat)-approximation of m: D of the left one of D m.
@@ -434,35 +417,6 @@ class NakayamaAlgebra:
             m,
             tuple(sorted((self.dual(u), m.length - u.length + j) for u, j in left.copies)),
         )
-
-    def _covers(self, copies, subcat, m) -> bool:
-        """Whether the stacked map still induces surjections onto all stable homs."""
-        for t2 in subcat:
-            tracker = self._factoring_tracker(m, t2)
-            goal = tracker.rank + self.stable_hom_dim(m, t2)
-            for t, depth in copies:
-                for b in self.hom_depths(t, t2):
-                    if depth + b < t2.length:
-                        tracker.add(self._hom_vector(m, t2, depth + b))
-            if tracker.rank < goal:
-                return False
-        return True
-
-    def _minimize(self, copies, subcat, m):
-        """Drop copies in order while the rest still covers.
-
-        _covers is monotone (fewer copies span less), so a copy kept once
-        stays needed after later drops, and one pass suffices.
-        """
-        copies = sorted(copies)
-        k = 0
-        while k < len(copies):
-            trial = copies[:k] + copies[k + 1 :]
-            if self._covers(trial, subcat, m):
-                copies = trial
-            else:
-                k += 1
-        return copies
 
     def _strip_projectives(self, mods: Multiset) -> Multiset:
         return _canon(m for m in mods if not self.is_projective(m))
@@ -691,6 +645,8 @@ class _GenerationEngine:
 def parse_algebra(text: str) -> NakayamaAlgebra:
     """Parse an algebra string of the form `nakayama:e:L`."""
     parts = text.strip().split(":")
-    if len(parts) != 3 or parts[0] != "nakayama":
+    if len(parts) != 3 or parts[0] != "nakayama" or not all(
+        p.isdecimal() for p in parts[1:]
+    ):
         raise ValueError(f"cannot parse algebra {text!r}; expected nakayama:e:L")
     return NakayamaAlgebra(int(parts[1]), int(parts[2]))

@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from smsquiver.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -96,7 +98,7 @@ def test_brauer_count():
 
 
 def test_sms_listing():
-    code, out = run_cli("sms", "--algebra", "nakayama:2:3", "--list")
+    code, out = run_cli("sms", "--algebra", "nakayama:2:3")
     lines = out.splitlines()
     assert lines[0] == "2 systems"
     assert len(lines) == 3
@@ -150,6 +152,15 @@ def test_check_subset():
     assert all("[pass]" in line for line in lines)
 
 
+def test_check_only_rejects_unknown_criteria(capsys):
+    # a number outside CRITERIA would run no criterion and report success
+    for text in ("11", "0", "x", "1,x", "1,,2", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--only", text])
+        assert exc.value.code == 2, text
+        assert "argument --only" in capsys.readouterr().err
+
+
 def test_python_dash_m_entry_point():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
 
@@ -166,3 +177,11 @@ def test_python_dash_m_entry_point():
         proc = run("orbits", "--type", text)
         assert proc.returncode == 2, text
         assert "argument --type" in proc.stderr
+    for command in ("sms", "mutate --sms simples --at 1", "quiver"):
+        for text in ("nakayama:x:3", "foo", "nakayama:0:3", "nakayama:3:1:2"):
+            proc = run(*command.split(), "--algebra", text)
+            assert proc.returncode == 2, (command, text)
+            assert "argument --algebra" in proc.stderr
+    # well formed but over the bound: a computation error, not an argument error
+    proc = run("sms", "--algebra", "nakayama:6:6")
+    assert proc.returncode == 1

@@ -2,14 +2,18 @@
 
 `brute_hom_dims` solves the intertwiner equations for graded maps
 directly, with no knowledge of the depth-basis shortcut used in
-production.  The generation engine is pinned the same way: pushout
-middles against integer elimination on the explicit relation rows, the
-worklist closure against repeated full passes, and the pruned and
-single-pass searches against their exhaustive and restarting forms.
+production.  Stable bases and minimal approximations, which production
+reads off sets of depths, are pinned against rational span tracking on
+the explicit hom vectors.  The generation engine is pinned the same way:
+pushout middles against integer elimination on the explicit relation
+rows, the worklist closure against repeated full passes, and the pruned
+and single-pass searches against their exhaustive and restarting forms.
 """
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -88,7 +92,37 @@ def brute_hom_space(A, m, n):
     return nullspace(rows, len(unknowns))
 
 
-@pytest.mark.parametrize("e,L", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def reference_hom_vector(m, n, depth):
+    """phi_depth as a vector on the (source basis x target basis) grid."""
+    vec = [Fraction(0)] * (m.length * n.length)
+    for i in range(m.length):
+        if depth + i < n.length:
+            vec[i * n.length + depth + i] = Fraction(1)
+    return vec
+
+
+def reference_factoring_tracker(A, m, n):
+    """Span of the maps M -> N through the projective cover of N."""
+    tracker = SpanTracker(m.length * n.length)
+    for j in A.hom_depths(m, A.projective(n.top)):
+        if j < n.length:  # layers >= length(N) die under the cover map
+            tracker.add(reference_hom_vector(m, n, j))
+    return tracker
+
+
+def reference_stable_hom_basis(A, m, n):
+    """Depths whose vectors enlarge the span of the factoring maps."""
+    tracker = reference_factoring_tracker(A, m, n)
+    return tuple(
+        j for j in A.hom_depths(m, n) if tracker.add(reference_hom_vector(m, n, j))
+    )
+
+
+# every N(e, L) with e(L-1) <= 8, and N(3, 4)
+HOM_GRID = [(e, L) for e in range(1, 9) for L in range(2, 8 // e + 2)] + [(3, 4)]
+
+
+@pytest.mark.parametrize("e,L", HOM_GRID)
 def test_stable_hom_matches_brute_force(e, L):
     A = NakayamaAlgebra(e, L)
     for m in A.indecomposables():
@@ -96,6 +130,7 @@ def test_stable_hom_matches_brute_force(e, L):
             hom, stably_zero = brute_hom_dims(A, m, n)
             assert A.hom_dim(m, n) == hom
             assert A.stable_hom_dim(m, n) == hom - stably_zero, (m, n)
+            assert A.stable_hom_basis(m, n) == reference_stable_hom_basis(A, m, n)
 
 
 def test_simples_are_schurian_and_orthogonal():
@@ -355,8 +390,9 @@ def test_transport_matches_configurations():
 def test_parse_algebra():
     A = parse_algebra("nakayama:4:5")
     assert (A.e, A.L) == (4, 5)
-    with pytest.raises(ValueError):
-        parse_algebra("brauer:4:5")
+    for text in ("brauer:4:5", "nakayama:x:3", "nakayama:4", "nakayama:-1:3"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_algebra(text)
     with pytest.raises(ValueError):
         NakayamaAlgebra(0, 3)
     with pytest.raises(ValueError):
@@ -517,6 +553,47 @@ def test_all_sms_on_many_simples_and_short_loewy_length():
     assert A.all_sms() == [A.simples()]
 
 
+def reference_covers(A, copies, subcat, m, side="left"):
+    """Whether the stacked map still induces surjections onto all stable homs.
+
+    Left: the copies are maps m -> t, and every stable map m -> t2 must be
+    a composite m -> t -> t2 modulo maps through projectives.  Right: the
+    copies are maps u -> m, and every stable map t2 -> m must be a
+    composite t2 -> u -> m.  Either composite has depth depth + b; each
+    depth's vector is added once, as a repeat cannot enlarge the span.
+    """
+    for t2 in subcat:
+        src, tgt = (m, t2) if side == "left" else (t2, m)
+        tracker = reference_factoring_tracker(A, src, tgt)
+        goal = tracker.rank + A.stable_hom_dim(src, tgt)
+        composites = set()
+        for t, depth in copies:
+            between = A.hom_depths(t, t2) if side == "left" else A.hom_depths(t2, t)
+            composites.update(depth + b for b in between if depth + b < tgt.length)
+        for j in sorted(composites):
+            tracker.add(reference_hom_vector(src, tgt, j))
+        if tracker.rank < goal:
+            return False
+    return True
+
+
+def reference_minimize(A, copies, subcat, m, side="left"):
+    """Drop copies in order while the rest still covers.
+
+    Covering is monotone (fewer copies span less), so a copy kept once
+    stays needed after later drops, and one pass suffices.
+    """
+    copies = sorted(copies)
+    k = 0
+    while k < len(copies):
+        trial = copies[:k] + copies[k + 1 :]
+        if reference_covers(A, trial, subcat, m, side):
+            copies = trial
+        else:
+            k += 1
+    return copies
+
+
 def restarting_minimize(A, copies, subcat, m):
     """Drop the first removable copy, then rescan from the start."""
     copies = sorted(copies)
@@ -525,11 +602,27 @@ def restarting_minimize(A, copies, subcat, m):
         changed = False
         for k in range(len(copies)):
             trial = copies[:k] + copies[k + 1 :]
-            if A._covers(trial, subcat, m):
+            if reference_covers(A, trial, subcat, m):
                 copies = trial
                 changed = True
                 break
     return copies
+
+
+@functools.cache
+def reference_approximation(e, L, m, subcat, side):
+    """Minimal approximation of m over N(e, L), minimized by spans.
+
+    Cached: systems of N(1, L) share their closures, and the span
+    reference takes seconds per module there.
+    """
+    A = NakayamaAlgebra(e, L)
+    subcat = sorted(set(subcat))
+    if side == "left":
+        copies = [(t, d) for t in subcat for d in reference_stable_hom_basis(A, m, t)]
+    else:
+        copies = [(u, d) for u in subcat for d in reference_stable_hom_basis(A, u, m)]
+    return tuple(reference_minimize(A, copies, subcat, m, side))
 
 
 @pytest.mark.parametrize("e,L", [(3, 4), (4, 5), (1, 8)])
@@ -547,8 +640,30 @@ def test_single_pass_minimize_matches_restarts(e, L):
             for m in A.indecomposables():
                 om = A.omega(m)
                 copies = [(t, d) for t in closure for d in A.stable_hom_basis(om, t)]
-                assert A._minimize(copies, closure, om) == restarting_minimize(
+                assert reference_minimize(A, copies, closure, om) == restarting_minimize(
                     A, copies, closure, om
                 ), (S, sub, m)
                 checked += 1
+    assert checked > 0
+
+
+def test_approximations_match_span_reference():
+    # every (system, nu-stable subset, indecomposable) with e(L-1) <= 10;
+    # the right reference covers t2 -> m directly, not through the duality
+    from smsquiver.mutation import _nu_stable_subsets, nu_orbit_partition
+
+    checked = 0
+    for A in algebras_up_to(10):
+        for S in A.all_sms():
+            for sub in _nu_stable_subsets(nu_orbit_partition(A, S)):
+                closure = A.ext_closure(sub)
+                for m in A.indecomposables():
+                    for side, approximate in (
+                        ("left", A.minimal_left_approximation),
+                        ("right", A.minimal_right_approximation),
+                    ):
+                        assert approximate(m, closure).copies == reference_approximation(
+                            A.e, A.L, m, closure, side
+                        ), (A, S, sub, m, side)
+                    checked += 1
     assert checked > 0
