@@ -4,7 +4,9 @@ Subcommands: classify, hom, enumerate, orbits, brauer, sms, mutate,
 quiver, check.  Output is TSV by default; JSON payloads carry a
 `"schema": 1` field and render all exact numbers as strings.  Identical
 invocations produce byte-identical output.  Errors exit with code 1 and a
-one-line `error: <Kind>: <message>` on stderr; bad arguments exit 2.
+one-line `error: <Kind>: <message>` on stderr; bad arguments exit 2,
+including `--sms`, `--start` and `--at`, which are parsed against the
+algebra once the command runs.
 """
 
 from __future__ import annotations
@@ -61,29 +63,36 @@ def _criteria_arg(text: str) -> set[int]:
     return {int(t) for t in tokens}
 
 
-def _parse_sms(algebra: NakayamaAlgebra, text: str):
+def _module_arg(algebra: NakayamaAlgebra, token: str, option: str):
+    top, _, length = token.partition(":")
+    try:
+        return algebra.module(int(top), int(length))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"argument {option}: expected top:length with 1 <= length <= {algebra.L}, got {token!r}"
+        ) from exc
+
+
+def _parse_sms(algebra: NakayamaAlgebra, text: str, option: str = "--sms"):
+    """Parse a system argument; it needs the algebra, so `main` maps errors to exit 2."""
     if text == "simples":
         return algebra.simples()
-    out = []
-    for token in text.split(","):
-        top, length = token.split(":")
-        out.append(algebra.module(int(top), int(length)))
-    return tuple(sorted(out))
+    return tuple(sorted(_module_arg(algebra, token, option) for token in text.split(",")))
 
 
 def _parse_at(algebra: NakayamaAlgebra, system, text: str):
+    """Parse `--at` against the system; errors exit 2 like `_parse_sms`."""
     chosen = []
     for token in text.split(","):
         if ":" in token:
-            top, length = token.split(":")
-            member = algebra.module(int(top), int(length))
+            member = _module_arg(algebra, token, "--at")
             if member not in system:
-                raise ValueError(f"{member} is not in the system")
+                raise argparse.ArgumentTypeError(f"argument --at: {member} is not in the system")
         else:
-            matches = [m for m in system if m.top == int(token)]
+            matches = [m for m in system if token.isdecimal() and m.top == int(token)]
             if len(matches) != 1:
-                raise ValueError(
-                    f"top {token} matches {len(matches)} members; use top:length"
+                raise argparse.ArgumentTypeError(
+                    f"argument --at: top {token} matches {len(matches)} members; use top:length"
                 )
             member = matches[0]
         chosen.append(member)
@@ -279,7 +288,7 @@ def cmd_mutate(args, out) -> int:
 
 def cmd_quiver(args, out) -> int:
     algebra = args.algebra
-    start = _parse_sms(algebra, args.start)
+    start = _parse_sms(algebra, args.start, "--start")
     q = build_mutation_quiver(
         algebra,
         start,
@@ -373,6 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         return 0
     except Exception as exc:

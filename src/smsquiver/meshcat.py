@@ -165,15 +165,14 @@ def _assert_support_band(table: HomTable) -> None:
 _table_cache: dict[tuple, HomTable] = {}
 
 
-def _cached_table(graph: DynkinGraph, node: int, oracle: bool = False) -> HomTable:
+def _cached_table(graph: DynkinGraph, node: int) -> HomTable:
     """Table for source (0, node); other levels follow by tau-equivariance."""
-    key = (graph.family, graph.rank, node, oracle)
+    key = (graph.family, graph.rank, node)
     table = _table_cache.get(key)
     if table is None:
         table = _load_cached(key)
     if table is None:
-        fn = oracle_table if oracle else fast_table
-        table = fn(graph, (0, node))
+        table = fast_table(graph, (0, node))
         _store_cached(key, table)
     _table_cache[key] = table
     return table
@@ -183,9 +182,9 @@ def _cache_path(key) -> str | None:
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    fam, rank, node, oracle = key
-    tag = "oracle" if oracle else "fast"
-    return os.path.join(root, f"hom_v{CACHE_SCHEMA}_{fam}{rank}_q{node}_{tag}.json")
+    fam, rank, node = key
+    # only fast tables are stored; the "_fast" suffix keeps existing files readable
+    return os.path.join(root, f"hom_v{CACHE_SCHEMA}_{fam}{rank}_q{node}_fast.json")
 
 
 def _load_cached(key) -> HomTable | None:
@@ -194,7 +193,7 @@ def _load_cached(key) -> HomTable | None:
     path = _cache_path(key)
     if not path or not os.path.exists(path):
         return None
-    fam, rank, node, _ = key
+    fam, rank, node = key
     graph = DynkinGraph(fam, rank)
     try:
         with open(path) as fh:

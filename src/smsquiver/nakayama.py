@@ -6,17 +6,17 @@ Indecomposables are the serial modules M(t, l) with top t and length
 l <= L; M(t, L) is the projective cover P(t).  The composition factors of
 M(t, l) are t, t+1, ..., t+l-1 read top to socle.
 
-Everything is computed exactly on explicit graded bases:
+Everything is computed exactly, combinatorially and with no linear algebra:
 
 * hom spaces have the basis phi_j (top |-> j-th radical layer of the
   target), 0/1 diagonals with disjoint supports for distinct depths, so
   homs are sets of depths: the stable basis is the depths below
   L - length(source), and a minimal approximation is the set of basis
-  copies that no other copy maps onto, with no linear algebra;
-* extension middles (pushouts) are decomposed combinatorially: their
-  relations are homogeneous of distinct degrees in a grading, so the
-  ranks of radical powers follow from counting supports, with no
-  elimination (see _decompose_quotient);
+  copies that no other copy maps onto;
+* extension middles (pushouts) are read off intervals of degrees: in a
+  grading where every serial summand is an interval containing 0, a bar
+  dominated by another splits off unchanged and the rest glue pairwise
+  (see _pushout_middle);
 * the generation condition of a candidate system S is decided in two
   tiers: a sound fixpoint closure under layer steps whose middle is one
   strand plus projectives proves membership, and hom-vanishing
@@ -79,9 +79,6 @@ class NakayamaAlgebra:
             raise ValueError("need e >= 1 and L >= 2")
         self.e = num_simples
         self.L = loewy_length
-        self._basis_cache: dict[Multiset, list] = {}
-        self._index_cache: dict[Multiset, dict] = {}
-        self._shift_cache: dict[Multiset, list] = {}
         self._middles_cache: dict[tuple[Multiset, SerialModule], tuple] = {}
         self._sms_cache: dict[Multiset, bool] = {}
 
@@ -223,93 +220,6 @@ class NakayamaAlgebra:
                 return False
         return True
 
-    # --- decomposition of graded representations ---------------------
-
-    def _rep_basis(self, w: Multiset):
-        """Graded basis [(component, depth)] of a direct sum of serials."""
-        basis = self._basis_cache.get(w)
-        if basis is None:
-            basis = [(i, comp_j) for i, comp in enumerate(w) for comp_j in range(comp.length)]
-            self._basis_cache[w] = basis
-        return basis
-
-    def _rep_index(self, w: Multiset):
-        index = self._index_cache.get(w)
-        if index is None:
-            index = {b: k for k, b in enumerate(self._rep_basis(w))}
-            self._index_cache[w] = index
-        return index
-
-    def _shift_map(self, w: Multiset) -> list[int]:
-        """nxt[k] = basis index of x * (k-th basis vector), or -1."""
-        cached = self._shift_cache.get(w)
-        if cached is None:
-            basis = self._rep_basis(w)
-            index = self._rep_index(w)
-            cached = [
-                index[(i, j + 1)] if j + 1 < w[i].length else -1
-                for (i, j) in basis
-            ]
-            self._shift_cache[w] = cached
-        return cached
-
-    def _decompose_quotient(self, w: Multiset, relations) -> Multiset:
-        """Summand multiset of W / U, with U spanned by the given relations.
-
-        `relations` are (colour, support) pairs: the basis indices where a
-        relation is nonzero, all of that colour.  Precondition: some
-        Z-grading makes every basis vector of W homogeneous and the
-        relations nonzero and homogeneous of pairwise distinct degrees.
-        Then U is the direct sum of the lines they span, a relation lies
-        in a span of basis vectors exactly when its support does, and the
-        rank of x^m on the colour-c slice of W / U is |x^m W_c| minus the
-        number of colour-(c+m) relations supported inside x^m W_c.
-        """
-        basis = self._rep_basis(w)
-        nxt = self._shift_map(w)
-        rel_by_color: dict[int, list] = {}
-        for c, support in relations:
-            rel_by_color.setdefault(c, []).append(support)
-        w_by_color: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(basis):
-            w_by_color.setdefault(self._col(w[i].top + j), []).append(k)
-
-        ranks: dict[tuple[int, int], int] = {}
-        for c, units in w_by_color.items():
-            cur = units
-            for m in range(0, self.L + 2):
-                if not cur:
-                    ranks[(c, m)] = 0
-                    break
-                inside = set(cur)
-                tgt = rel_by_color.get(self._col(c + m), ())
-                ranks[(c, m)] = len(cur) - sum(1 for support in tgt if support <= inside)
-                cur = [nxt[k] for k in cur if nxt[k] >= 0]
-        return self._multiset_from_rank_table(ranks)
-
-    def _multiset_from_rank_table(self, ranks: dict) -> Multiset:
-        """Recover serial summands from the ranks of radical powers.
-
-        With R(c, m) the rank of x^m on the color-c slice and
-        D(c, m) = R(c, m-1) - R(c, m), the multiplicity of M(t, m) is
-        D(t, m) - D(t-1, m+1).
-        """
-
-        def D(c: int, m: int) -> int:
-            c = self._col(c)
-            return ranks.get((c, m - 1), 0) - ranks.get((c, m), 0)
-
-        out = []
-        for t in range(1, self.e + 1):
-            for m in range(1, self.L + 1):
-                mult = D(t, m) - D(t - 1, m + 1)
-                if mult < 0:
-                    raise ConeDecompositionError(
-                        f"rank table gives M({t},{m}) multiplicity {mult}"
-                    )
-                out.extend([SerialModule(t, m)] * mult)
-        return _canon(out)
-
     # --- generation -----------------------------------------------------
 
     def generation_engine(self, system) -> "_GenerationEngine":
@@ -425,27 +335,32 @@ class NakayamaAlgebra:
         """Middle of the extension of m classified by the map Omega(m) -> sum of copies.
 
         Pushout of the projective presentation of m along the stacked depth
-        maps; returned as a full summand multiset (projectives included).
-        Relation j identifies the image of the j-th basis vector of Omega(m)
-        in the copies with its image in the cover P.  Giving (ci, k) degree
-        k - depth_ci and (P, k) degree k - length(m) puts relation j in
-        degree j, as _decompose_quotient requires.
+        maps, as a full summand multiset (projectives included).  Give
+        degree s the colour col(top m + l + s), l = length(m): each summand
+        is a bar of degrees containing 0, Omega(m) = [0, L-l-1], the cover
+        P(top m) = [-l, L-l-1] and a copy (x, d) = [-d, length(x)-1-d]; the
+        middle is the cokernel of Omega(m) mapped diagonally into the sum.
+        Split-off: (b, c) is dominated when another bar has b' >= b and
+        c' >= c (of equal bars, all but one are).  For bars containing 0
+        that is when Hom((b', c'), (b, c)) != 0, by a map that is the
+        identity in degree 0, so an automorphism of the sum clears the
+        component and the bar goes into the middle unchanged.  Gluing: the
+        rest, by increasing b, have decreasing c, and their cokernel is
+        [b_i, c_{i+1}] for consecutive pairs plus [b_k, -1].  A nonempty bar
+        [b, c] is the serial module M(col(top m + l + b), c - b + 1).
         """
-        om = self.omega(m)
-        cover = self.projective(m.top)
-        order = tuple([t for t, _ in copies] + [cover])
-        index = self._rep_index(order)
-        last = len(order) - 1
-        rels = []
-        for j in range(om.length):
-            support = {
-                index[(ci, depth + j)]
-                for ci, (t, depth) in enumerate(copies)
-                if depth + j < t.length
-            }
-            support.add(index[(last, m.length + j)])
-            rels.append((self._col(om.top + j), frozenset(support)))
-        return self._decompose_quotient(order, rels)
+        l = m.length
+        bars = [(-l, self.L - l - 1)] + [(-d, x.length - 1 - d) for x, d in copies]
+        kept, out = [], []
+        for b, c in sorted(bars, reverse=True):
+            # the bars before have b' >= b, and kept[-1] has the largest c'
+            (out if kept and c <= kept[-1][1] else kept).append((b, c))
+        kept.reverse()
+        out += [(b, c) for (b, _), (_, c) in zip(kept, kept[1:])]
+        out.append((kept[-1][0], -1))
+        return _canon(
+            SerialModule(self._col(m.top + l + b), c - b + 1) for b, c in out if b <= c
+        )
 
     def _sole_nonprojective(self, mods: Multiset) -> SerialModule:
         nonproj = self._strip_projectives(mods)

@@ -159,9 +159,6 @@ class StableTranslationQuiver:
             w = self.deck(w)
         return min(cands)
 
-    def tau_of(self, v: ZVert) -> ZVert:
-        return self.tau[v]
-
     def lift(self, v: ZVert, copies: int) -> list[ZVert]:
         """The first `copies` preimages of v under the covering, ascending by level."""
         if copies < 1:

@@ -182,6 +182,24 @@ def test_python_dash_m_entry_point():
             proc = run(*command.split(), "--algebra", text)
             assert proc.returncode == 2, (command, text)
             assert "argument --algebra" in proc.stderr
+    # systems and subsets are parsed against the algebra, still as arguments
+    for argv, option in (
+        ("mutate --algebra nakayama:4:5 --sms 1:x --at 1", "--sms"),
+        ("quiver --algebra nakayama:3:4 --start 1:9", "--start"),
+        ("mutate --algebra nakayama:4:5 --sms simples --at 9", "--at"),
+        ("mutate --algebra nakayama:4:5 --sms simples --at 2:x", "--at"),
+    ):
+        proc = run(*argv.split())
+        assert proc.returncode == 2, argv
+        assert f"argument {option}" in proc.stderr
     # well formed but over the bound: a computation error, not an argument error
     proc = run("sms", "--algebra", "nakayama:6:6")
     assert proc.returncode == 1
+    # well formed but no system, or no single orbit: computation errors too
+    for argv in (
+        "mutate --algebra nakayama:4:5 --sms 1:1,2:1 --at 1",
+        "mutate --algebra nakayama:4:5 --sms simples --at 2,3",
+    ):
+        proc = run(*argv.split())
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("error: ")

@@ -255,7 +255,7 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
 def test_unreadable_cache_file_is_a_miss(hom_cache, monkeypatch, content):
     mc = hom_cache
     graph = DynkinGraph("E", 6)
-    key = ("E", 6, 3, False)
+    key = ("E", 6, 3)
     path = mc._cache_path(key)
     with open(path, "w") as fh:
         fh.write(content)
@@ -273,13 +273,13 @@ def test_out_of_band_cache_entry_is_a_miss(hom_cache, monkeypatch, entry):
     expected = quotient_hom_table(q)
     for node in q.graph.nodes:
         mc._cached_table(q.graph, node)
-    path = mc._cache_path(("E", 6, 3, False))
+    path = mc._cache_path(("E", 6, 3))
     with open(path) as fh:
         payload = json.load(fh)
     payload["dims"].append(entry)
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    assert mc._load_cached(("E", 6, 3, False)) is None
+    assert mc._load_cached(("E", 6, 3)) is None
     monkeypatch.setattr(mc, "_table_cache", {})
     monkeypatch.setattr(mc, "_quotient_cache", {})
     assert quotient_hom_table(q) == expected

@@ -41,7 +41,11 @@ def test_left_bfs_reaches_every_system(e, L):
     assert set(q.vertices) == set(A.all_sms())
 
 
-@pytest.mark.parametrize("e,L", [(2, 3), (3, 4), (4, 5), (2, 5), (3, 5)])
+# every N(e, L) with e(L-1) <= 16
+SMALL_ALGEBRAS = [(e, L) for e in range(1, 17) for L in range(2, 16 // e + 2)]
+
+
+@pytest.mark.parametrize("e,L", SMALL_ALGEBRAS)
 def test_every_left_arrow_has_an_inverse_right_mutation(e, L):
     A = NakayamaAlgebra(e, L)
     for S in A.all_sms():

@@ -10,8 +10,10 @@ rows, the worklist closure against repeated full passes, and the pruned
 and single-pass searches against their exhaustive and restarting forms.
 """
 
+import collections
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -195,20 +197,8 @@ def test_serial_module_factors():
     assert A.socle(SerialModule(3, 4)) == 2
 
 
-def test_rank_decomposition_recovers_known_multisets():
-    A = NakayamaAlgebra(3, 4)
-    rng = random.Random(11)
-    mods = A.indecomposables() + tuple(A.projective(i) for i in range(1, 4))
-    for _ in range(50):
-        w = tuple(sorted(rng.choice(mods) for _ in range(rng.randint(1, 4))))
-        assert A._decompose_quotient(w, []) == w
-
-
 def test_decomposition_invariants_raise():
     A = NakayamaAlgebra(3, 4)
-    # x^1 has rank 1 on colour 1 while x^0 has rank 0: no module does that
-    with pytest.raises(ConeDecompositionError):
-        A._multiset_from_rank_table({(1, 1): 1})
     with pytest.raises(ConeDecompositionError):
         A._sole_nonprojective((SerialModule(1, 1), SerialModule(2, 1), A.projective(1)))
     assert A._sole_nonprojective((SerialModule(1, 2), A.projective(3))) == SerialModule(1, 2)
@@ -408,6 +398,52 @@ def algebras_up_to(bound):
     ]
 
 
+@pytest.mark.parametrize("bound", [16, pytest.param(24, marks=pytest.mark.slow)])
+def test_transported_bijection_on_every_small_algebra(bound):
+    """Criterion 5's check on every N(e, L) up to the bound, with the counts.
+
+    The count is an observed formula, not a cited theorem: with
+    d = gcd(e, L-1), N(e, L) has Catalan(d) systems when L-1 divides e
+    and binom(2d, d) otherwise.
+    """
+    from smsquiver.configs import enumerate_configurations
+    from smsquiver.dynkin import DynkinGraph, RfsType
+    from smsquiver.ztquiver import quotient
+
+    for A in algebras_up_to(bound):
+        n = A.L - 1
+        q = quotient(RfsType(DynkinGraph("A", n), Fraction(A.e, n), 1))
+        systems = A.all_sms(bound=bound)
+        configs = {frozenset(c) for c in enumerate_configurations(q)}
+        assert len({A.transport(s, q) for s in systems}) == len(systems), A
+        assert {A.transport(s, q) for s in systems} == configs, A
+        d = math.gcd(A.e, n)
+        observed = math.comb(2 * d, d) // (d + 1) if A.e % n == 0 else math.comb(2 * d, d)
+        assert len(systems) == observed, A
+
+
+def multiset_from_rank_table(A, ranks):
+    """Recover serial summands from the ranks of radical powers.
+
+    With R(c, m) the rank of x^m on the colour-c slice and
+    D(c, m) = R(c, m-1) - R(c, m), the multiplicity of M(t, m) is
+    D(t, m) - D(t-1, m+1).
+    """
+
+    def D(c, m):
+        c = A._col(c)
+        return ranks.get((c, m - 1), 0) - ranks.get((c, m), 0)
+
+    out = []
+    for t in range(1, A.e + 1):
+        for m in range(1, A.L + 1):
+            mult = D(t, m) - D(t - 1, m + 1)
+            if mult < 0:
+                raise ConeDecompositionError(f"rank table gives M({t},{m}) multiplicity {mult}")
+            out.extend([SerialModule(t, m)] * mult)
+    return tuple(sorted(out))
+
+
 def reference_pushout_middle(A, m, copies):
     """Pushout middle by integer elimination on the explicit relation rows.
 
@@ -444,7 +480,24 @@ def reference_pushout_middle(A, m, copies):
                 units.append(unit)
             ranks[(c, k)] = integer_rank(tgt + units) - integer_rank(tgt)
             cur = [(i, j + 1) for i, j in cur if j + 1 < order[i].length]
-    return A._multiset_from_rank_table(ranks)
+    return multiset_from_rank_table(A, ranks)
+
+
+def test_rank_decomposition_recovers_known_multisets():
+    A = NakayamaAlgebra(3, 4)
+    rng = random.Random(11)
+    mods = A.indecomposables() + tuple(A.projective(i) for i in range(1, 4))
+    for _ in range(50):
+        w = tuple(sorted(rng.choice(mods) for _ in range(rng.randint(1, 4))))
+        # with no relations, x^k has rank on colour c one per layer j of
+        # colour c in a summand of length above j + k
+        ranks = collections.Counter(
+            (A._col(t.top + j), k) for t in w for j in range(t.length) for k in range(t.length - j)
+        )
+        assert multiset_from_rank_table(A, ranks) == w
+    # x^1 has rank 1 on colour 1 while x^0 has rank 0: no module does that
+    with pytest.raises(ConeDecompositionError):
+        multiset_from_rank_table(A, {(1, 1): 1})
 
 
 def depth_maps_from_syzygy(A, quot):
