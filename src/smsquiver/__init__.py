@@ -57,7 +57,6 @@ from .ztquiver import (
     MeshSymmetryError,
     StableTranslationQuiver,
     Window,
-    WindowTooSmallError,
     automorphisms,
     quotient,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "StableTranslationQuiver",
     "SupportBandError",
     "Window",
-    "WindowTooSmallError",
     "admissible_group",
     "automorphisms",
     "build_mutation_quiver",

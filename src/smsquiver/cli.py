@@ -50,6 +50,17 @@ def _algebra_arg(text: str) -> NakayamaAlgebra:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive_int_arg(text: str) -> int:
+    """Parse a count that must be at least 1, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _criteria_arg(text: str) -> set[int]:
     """Parse `--only`: comma-separated numbers of existing criteria, else exit 2."""
     from .acceptance import CRITERIA
@@ -336,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_orbits)
 
     p = sub.add_parser("brauer", help="count Brauer trees")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--multiplicity", type=int, default=1)
+    p.add_argument("--edges", type=_positive_int_arg, required=True)
+    p.add_argument("--multiplicity", type=_positive_int_arg, default=1)
     p.add_argument(
         "--marked-extremal",
         action="store_true",

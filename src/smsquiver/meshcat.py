@@ -11,6 +11,11 @@ Two routes are provided and must agree:
   arrows minus the value at tau(v), clamped at zero).  Its clamping rule is
   validated against the oracle by the test suite, never assumed.
 
+Every table spans the band window [x0, x0 + 2h + 1] of its source x: homs
+vanish outside the h slices after x (`_assert_support_band`), so the window
+holds every nonzero hom.  By tau-equivariance one fast table per node,
+computed once per process for the source (0, node), serves every level.
+
 Quotient homs are covering sums: each row pushes the ZQ table of its source
 forward along the covering ZQ -> ZQ / <zeta tau^{-r}>, so every lift of the
 target inside the support band contributes once.
@@ -18,25 +23,19 @@ target inside the support band contributes once.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .dynkin import DynkinGraph, coxeter_number
 from .linalg import SpanTracker
 from .ztquiver import (
     StableTranslationQuiver,
     Window,
-    WindowTooSmallError,
     ZVert,
     arrows_in,
     t_grade,
 )
-
-CACHE_ENV = "SMSQUIVER_CACHE_DIR"
-CACHE_SCHEMA = 2  # in every cache file name, so files of older schemas are never read
-
 
 class SupportBandError(AssertionError):
     """A nonzero hom appeared outside the expected support band."""
@@ -58,23 +57,8 @@ class HomTable:
         return sorted(v for v, d in self.dims.items() if d)
 
 
-def _window_for(graph: DynkinGraph, x: ZVert, y: ZVert | None, window) -> Window:
-    h = coxeter_number(graph)
-    if window is None:
-        top = x[0] + 2 * h + 1
-        if y is not None:
-            top = max(top, y[0])
-        return Window(graph, x[0], top)
-    w = Window(graph, window[0], window[1])
-    if not w.contains(x) or (y is not None and not w.contains(y)):
-        raise WindowTooSmallError(
-            f"window {window} must contain both endpoints; widen it"
-        )
-    if w.p_max - w.p_min < 2 * h + 1:
-        raise WindowTooSmallError(
-            f"window {window} narrower than 2h+2 = {2 * h + 2} slices; widen it"
-        )
-    return w
+def _window_for(graph: DynkinGraph, x: ZVert) -> Window:
+    return Window(graph, x[0], x[0] + 2 * coxeter_number(graph) + 1)
 
 
 def _ordered_vertices(graph: DynkinGraph, win: Window, start: ZVert):
@@ -83,9 +67,9 @@ def _ordered_vertices(graph: DynkinGraph, win: Window, start: ZVert):
     return verts
 
 
-def oracle_table(graph: DynkinGraph, source: ZVert, window=None) -> HomTable:
-    """Exact mesh-category hom dimensions from `source` over a window."""
-    win = _window_for(graph, source, None, window)
+def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
+    """Exact mesh-category hom dimensions from `source` over its band window."""
+    win = _window_for(graph, source)
     verts = _ordered_vertices(graph, win, source)
     dims: dict[ZVert, int] = {}
     # arrow_maps[(u, v)]: columns (one per basis class at u) of the
@@ -135,9 +119,9 @@ def oracle_table(graph: DynkinGraph, source: ZVert, window=None) -> HomTable:
     return table
 
 
-def fast_table(graph: DynkinGraph, source: ZVert, window=None) -> HomTable:
+def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Clamped additive recursion for the same dimensions."""
-    win = _window_for(graph, source, None, window)
+    win = _window_for(graph, source)
     verts = _ordered_vertices(graph, win, source)
     dims: dict[ZVert, int] = {}
     for v in verts:
@@ -162,91 +146,18 @@ def _assert_support_band(table: HomTable) -> None:
             )
 
 
-_table_cache: dict[tuple, HomTable] = {}
-
-
-def _cached_table(graph: DynkinGraph, node: int) -> HomTable:
+@cache
+def _node_table(graph: DynkinGraph, node: int) -> HomTable:
     """Table for source (0, node); other levels follow by tau-equivariance."""
-    key = (graph.family, graph.rank, node)
-    table = _table_cache.get(key)
-    if table is None:
-        table = _load_cached(key)
-    if table is None:
-        table = fast_table(graph, (0, node))
-        _store_cached(key, table)
-    _table_cache[key] = table
-    return table
+    return fast_table(graph, (0, node))
 
 
-def _cache_path(key) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    fam, rank, node = key
-    # only fast tables are stored; the "_fast" suffix keeps existing files readable
-    return os.path.join(root, f"hom_v{CACHE_SCHEMA}_{fam}{rank}_q{node}_fast.json")
+def hom_dim_oracle(graph: DynkinGraph, x: ZVert, y: ZVert) -> int:
+    return oracle_table(graph, x).dim(y)
 
 
-def _load_cached(key) -> HomTable | None:
-    """The stored table, or None (a miss) when the file is absent,
-    unreadable, malformed or has a nonzero entry outside the support band."""
-    path = _cache_path(key)
-    if not path or not os.path.exists(path):
-        return None
-    fam, rank, node = key
-    graph = DynkinGraph(fam, rank)
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        if raw["schema"] != CACHE_SCHEMA:
-            return None
-        window = tuple(int(x) for x in raw["window"])
-        if window != (0, 2 * coxeter_number(graph) + 1):
-            return None
-        dims = {(int(p), int(q)): int(d) for p, q, d in raw["dims"]}
-        table = HomTable(graph, (0, node), window, dims)
-        _assert_support_band(table)
-    except (OSError, ValueError, KeyError, TypeError, SupportBandError):
-        return None
-    return table
-
-
-def _store_cached(key, table: HomTable) -> None:
-    path = _cache_path(key)
-    if not path:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "window": list(table.window),
-        "dims": sorted([p, q, d] for (p, q), d in table.dims.items() if d),
-    }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)  # idempotent fill
-
-
-def hom_dim_oracle(graph: DynkinGraph, x: ZVert, y: ZVert, window=None) -> int:
-    if window is not None:
-        _window_for(graph, x, y, window)
-    if y[0] < x[0]:
-        return 0
-    table = oracle_table(graph, x, window or (x[0], max(y[0], x[0] + 2 * coxeter_number(graph) + 1)))
-    return table.dim(y)
-
-
-def hom_dim_fast(graph: DynkinGraph, x: ZVert, y: ZVert, window=None) -> int:
-    if window is not None:
-        _window_for(graph, x, y, window)
-    if y[0] < x[0]:
-        return 0
-    shift = x[0]
-    table = _cached_table(graph, x[1])
-    target = (y[0] - shift, y[1])
-    if target[0] > table.window[1]:
-        return 0
-    return table.dim(target)
+def hom_dim_fast(graph: DynkinGraph, x: ZVert, y: ZVert) -> int:
+    return _node_table(graph, x[1]).dim((y[0] - x[0], y[1]))
 
 
 def quotient_hom_dim(q: StableTranslationQuiver, e: ZVert, f: ZVert) -> int:
@@ -270,7 +181,7 @@ def quotient_hom_table(q: StableTranslationQuiver) -> dict:
         return cached
     table = {(e, f): 0 for e in q.vertices for f in q.vertices}
     for e in q.vertices:
-        for (p, node), d in _cached_table(q.graph, e[1]).dims.items():
+        for (p, node), d in _node_table(q.graph, e[1]).dims.items():
             if d:
                 table[(e, q.canonical((e[0] + p, node)))] += d
     _quotient_cache[key] = table

@@ -102,13 +102,13 @@ def build_mutation_quiver(
     direction: str = "left",
     allow_composite: bool = False,
     size_bound: int = 24,
-    max_depth: int = 64,
 ) -> MutationQuiver:
     """Closure of a starting system under mutations in the given direction(s).
 
     Irreducible mutations run over single Nakayama orbits; with
     `allow_composite` every nonempty Nakayama-stable subset is used.  The
-    depth cap raises instead of truncating silently.
+    search ends because every image is a system of the algebra, and there
+    are finitely many.
     """
     if direction not in ("left", "right", "both"):
         raise ValueError("direction must be left, right or both")
@@ -124,10 +124,7 @@ def build_mutation_quiver(
     vertices = [start]
     arrows: set[tuple[int, int, str, str]] = set()
     frontier = [start]
-    depth = 0
     while frontier:
-        if depth > max_depth:
-            raise BoundExceededError(f"mutation BFS exceeded depth {max_depth}")
         nxt = []
         for system in frontier:
             parts = nu_orbit_partition(algebra, system)
@@ -151,7 +148,6 @@ def build_mutation_quiver(
                         (index[system], index[image], orbit_label(algebra, sub), dirn)
                     )
         frontier = nxt
-        depth += 1
 
     # canonical vertex order, arrows re-indexed
     order = sorted(range(len(vertices)), key=lambda i: vertices[i])

@@ -21,10 +21,6 @@ from .dynkin import DynkinGraph, GraphAutomorphism, RfsType, admissible_group
 ZVert = tuple[int, int]
 
 
-class WindowTooSmallError(ValueError):
-    """A hom computation was asked to run in a window that cannot hold it."""
-
-
 class CoveringError(RuntimeError):
     """The covering ZQ -> ZQ / <zeta tau^{-r}> broke one of its invariants."""
 

@@ -192,6 +192,10 @@ def test_python_dash_m_entry_point():
         proc = run(*argv.split())
         assert proc.returncode == 2, argv
         assert f"argument {option}" in proc.stderr
+    for option in ("--edges 0", "--edges 3 --multiplicity 0"):
+        proc = run("brauer", *option.split())
+        assert proc.returncode == 2, option
+        assert f"argument {option.split()[-2]}" in proc.stderr
     # well formed but over the bound: a computation error, not an argument error
     proc = run("sms", "--algebra", "nakayama:6:6")
     assert proc.returncode == 1

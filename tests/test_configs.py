@@ -1,5 +1,6 @@
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -11,7 +12,7 @@ from smsquiver.configs import (
     orbit_decomposition,
     transitivity_list_check,
 )
-from smsquiver.dynkin import num_simples, parse_type
+from smsquiver.dynkin import DynkinGraph, RfsType, num_simples, parse_type
 from smsquiver.meshcat import quotient_hom_table
 from smsquiver.ztquiver import automorphisms, quotient
 
@@ -187,6 +188,23 @@ def test_transitivity_report_consistency():
             assert row.orbits == 2
         if row.rfs_type == "D:5/f=1/t=1":
             assert row.orbits > 1
+
+
+@pytest.mark.parametrize("bound", [24, pytest.param(48, marks=pytest.mark.slow)])
+def test_a_type_counts_follow_the_gcd_formula(bound):
+    """Configurations of every (A_n, s/n, 1) with s*n <= bound.
+
+    The count is an observed formula, not a cited theorem (the module
+    backend checks the same one on N(s, n+1)): with d = gcd(s, n) there
+    are Catalan(d) configurations when n divides s and binom(2d, d)
+    otherwise.
+    """
+    for n in range(1, bound + 1):
+        for s in range(1, bound // n + 1):
+            q = quotient(RfsType(DynkinGraph("A", n), Fraction(s, n), 1))
+            d = gcd(s, n)
+            observed = comb(2 * d, d) // (d + 1) if s % n == 0 else comb(2 * d, d)
+            assert len(enumerate_configurations(q)) == observed, (n, s)
 
 
 @pytest.mark.slow

@@ -10,14 +10,16 @@ deck translates of the target; it pins the pushforward in
 `quotient_hom_table`.
 """
 
-import json
-
 import pytest
 
 from smsquiver.configs import _type_grid
 from smsquiver.dynkin import DynkinGraph, coxeter_number, parse_type
 from smsquiver.linalg import SpanTracker
 from smsquiver.meshcat import (
+    HomTable,
+    SupportBandError,
+    _assert_support_band,
+    _node_table,
     fast_table,
     hom_dim_fast,
     hom_dim_oracle,
@@ -26,7 +28,6 @@ from smsquiver.meshcat import (
     quotient_hom_table,
 )
 from smsquiver.ztquiver import (
-    WindowTooSmallError,
     arrows_in,
     arrows_out,
     automorphisms,
@@ -111,19 +112,41 @@ def test_support_band_and_window_guard():
     h = coxeter_number(graph)
     table = oracle_table(graph, (0, 2))
     assert all(p - 0 <= h for (p, q), d in table.dims.items() if d)
-    with pytest.raises(WindowTooSmallError):
-        hom_dim_oracle(graph, (0, 1), (1, 1), window=(0, 3))
-    with pytest.raises(WindowTooSmallError):
-        oracle_table(graph, (0, 1), window=(1, 20))
+    # tables no longer take a window, so none can be too small: the fixed
+    # window starts at the source and reaches past its h-slice band
+    for x in [(0, 2), (5, 1), (-3, 3)]:
+        for t in (oracle_table(graph, x), fast_table(graph, x)):
+            assert t.window[0] == x[0] and t.window[1] > x[0] + h
+
+
+@pytest.mark.parametrize("entry", [[40, 3, 7], [-1, 3, 1], [2, 9, 1]])
+def test_out_of_band_cache_entry_is_a_miss(entry):
+    # one entry too far ahead of the source, one behind it, one at a node
+    # E6 does not have: each is rejected, and the cached table is untouched
+    q = quotient(parse_type("E:6/f=1/t=1"))
+    expected = quotient_hom_table(q)
+    good = _node_table(q.graph, 3)
+    p, node, d = entry
+    bad = HomTable(q.graph, good.source, good.window, {**good.dims, (p, node): d})
+    with pytest.raises(SupportBandError):
+        _assert_support_band(bad)
+    assert _node_table(q.graph, 3).dims == fast_table(q.graph, (0, 3)).dims
+    assert quotient_hom_table(q) == expected
 
 
 def test_fast_equals_oracle_off_acceptance_sizes():
-    # exhaustive parity on the small classes; the acceptance suite covers
-    # the full list up to E6
-    for family, rank in [("A", 2), ("A", 3), ("D", 4)]:
+    # exhaustive parity from every node of every graph criterion 1 names;
+    # criterion 9 covers A2-A5, D4, D5 and E6 over wider source sets
+    graphs = (
+        [("A", n) for n in range(1, 13)]
+        + [("D", n) for n in range(4, 13)]
+        + [("E", n) for n in (6, 7, 8)]
+    )
+    for family, rank in graphs:
         graph = DynkinGraph(family, rank)
         for q in graph.nodes:
-            assert fast_table(graph, (0, q)).dims == oracle_table(graph, (0, q)).dims
+            fast = fast_table(graph, (0, q)).dims
+            assert fast == oracle_table(graph, (0, q)).dims, (family, rank, q)
 
 
 def test_hammock_rectangle_for_a_type():
@@ -212,90 +235,4 @@ def test_hom_dim_fast_agrees_pointwise():
     graph = DynkinGraph("A", 3)
     assert hom_dim_fast(graph, (5, 2), (6, 1)) == hom_dim_oracle(graph, (5, 2), (6, 1))
     assert hom_dim_fast(graph, (0, 1), (9, 1)) == 0
-
-
-@pytest.fixture
-def hom_cache(tmp_path, monkeypatch):
-    """`smsquiver.meshcat` with an empty cache directory and empty memos."""
-    import smsquiver.meshcat as mc
-
-    monkeypatch.setenv("SMSQUIVER_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(mc, "_table_cache", {})
-    monkeypatch.setattr(mc, "_quotient_cache", {})
-    return mc
-
-
-def test_cache_dir_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SMSQUIVER_CACHE_DIR", str(tmp_path))
-    import smsquiver.meshcat as mc
-
-    mc._table_cache.clear()
-    t1 = mc._cached_table(DynkinGraph("A", 2), 1)
-    files = list(tmp_path.iterdir())
-    assert files, "cache file written"
-    mc._table_cache.clear()
-    t2 = mc._cached_table(DynkinGraph("A", 2), 1)
-    assert {k: v for k, v in t1.dims.items() if v} == {
-        k: v for k, v in t2.dims.items() if v
-    }
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        "not json at all",
-        '{"schema": 2, "window": [0, 25], "dims": [[0, 3, 1], [1, 2',  # truncated
-        '[[0, 3, 1]]',
-        '{"schema": 2, "window": [0, 25], "dims": [[0, 3]]}',
-        '{"schema": 2, "window": [0, 1], "dims": [[0, 3, 1]]}',
-        '{"schema": 2, "window": [0, 25], "dims": [[0, 3, null]]}',
-    ],
-    ids=["garbage", "truncated", "not-an-object", "short-entry", "window", "null-dim"],
-)
-def test_unreadable_cache_file_is_a_miss(hom_cache, monkeypatch, content):
-    mc = hom_cache
-    graph = DynkinGraph("E", 6)
-    key = ("E", 6, 3)
-    path = mc._cache_path(key)
-    with open(path, "w") as fh:
-        fh.write(content)
-    table = mc._cached_table(graph, 3)
-    assert table.dims == fast_table(graph, (0, 3)).dims
-    # the bad file was replaced by a good one
-    monkeypatch.setattr(mc, "_table_cache", {})
-    assert mc._load_cached(key).support() == table.support()
-
-
-@pytest.mark.parametrize("entry", [[40, 3, 7], [-1, 3, 1], [2, 9, 1]])
-def test_out_of_band_cache_entry_is_a_miss(hom_cache, monkeypatch, entry):
-    mc = hom_cache
-    q = quotient(parse_type("E:6/f=1/t=1"))
-    expected = quotient_hom_table(q)
-    for node in q.graph.nodes:
-        mc._cached_table(q.graph, node)
-    path = mc._cache_path(("E", 6, 3))
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["dims"].append(entry)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    assert mc._load_cached(("E", 6, 3)) is None
-    monkeypatch.setattr(mc, "_table_cache", {})
-    monkeypatch.setattr(mc, "_quotient_cache", {})
-    assert quotient_hom_table(q) == expected
-
-
-def test_cache_files_carry_the_schema_version(hom_cache, tmp_path, monkeypatch):
-    mc = hom_cache
-    graph = DynkinGraph("A", 2)
-    good = mc._cached_table(graph, 1)
-    # a file under the unversioned name is never read
-    (tmp_path / "hom_A2_q2_fast.json").write_text(
-        '{"schema": 2, "window": [0, 7], "dims": [[1, 1, 9]]}'
-    )
-    assert [p.name for p in tmp_path.iterdir() if "q1" in p.name] == [
-        f"hom_v{mc.CACHE_SCHEMA}_A2_q1_fast.json"
-    ]
-    monkeypatch.setattr(mc, "_table_cache", {})
-    assert mc._cached_table(graph, 2).dims == fast_table(graph, (0, 2)).dims
-    assert mc._cached_table(graph, 1).support() == good.support()
+    assert hom_dim_fast(graph, (5, 2), (4, 2)) == hom_dim_oracle(graph, (5, 2), (4, 2)) == 0

@@ -57,10 +57,11 @@ def test_every_left_arrow_has_an_inverse_right_mutation(e, L):
 
 
 def test_both_direction_quiver_strongly_connected():
-    for e, L in [(2, 3), (3, 4)]:
+    for e, L in SMALL_ALGEBRAS:
         A = NakayamaAlgebra(e, L)
         q = build_mutation_quiver(A, A.simples(), "both")
-        assert is_strongly_connected(q)
+        assert is_strongly_connected(q), (e, L)
+        assert sorted(q.vertices) == sorted(A.all_sms()), (e, L)
 
 
 def test_composite_flag_reproduces_the_four_column_mutation():
