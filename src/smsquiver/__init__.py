@@ -7,6 +7,7 @@ Nakayama algebras, with mutation and mutation-quiver machinery on top.
 
 from .brauer import count_brauer_trees, count_marked_extremal_trees
 from .configs import (
+    CardinalityError,
     Orbit,
     enumerate_configurations,
     is_configuration,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundExceededError",
+    "CardinalityError",
     "ConeDecompositionError",
     "CoveringError",
     "DynkinGraph",

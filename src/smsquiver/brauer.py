@@ -4,8 +4,8 @@ A Brauer tree with d edges and multiplicity m is a plane tree (a tree with
 a cyclic ordering of the edges around every vertex) together with, when
 m >= 2, one distinguished exceptional vertex.  Isomorphism preserves the
 cyclic orderings; counting is done by enumerating rooted plane trees and
-deduplicating canonical forms taken over every choice of root vertex and
-rotation.
+deduplicating canonical forms: the least encoding over every rotation at
+the tree's center, which every isomorphism fixes.
 """
 
 from __future__ import annotations
@@ -61,12 +61,31 @@ def _encode(neighbors, root, first, marked=None):
     return visit(root, None)
 
 
+def _center(neighbors):
+    """The one or two vertices left after stripping leaves layer by layer."""
+    degree = {v: len(ring) for v, ring in neighbors.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(neighbors)
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in neighbors[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return layer
+
+
 def _canonical(neighbors, marked=None):
+    """Least encoding over the darts at the center.  Isomorphisms keep the
+    center, so this is a complete invariant."""
     forms = []
-    for root, ring in neighbors.items():
+    for root in _center(neighbors):
+        ring = neighbors[root]
         if not ring:
             forms.append(_encode(neighbors, root, None, marked))
-            continue
         for first in ring:
             forms.append(_encode(neighbors, root, first, marked))
     return min(forms)

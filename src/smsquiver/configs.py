@@ -3,13 +3,15 @@
 A configuration is a vertex subset that is hom-orthogonal in the mesh
 category of the quotient (one-dimensional endomorphisms, no homs between
 distinct members) and covers every vertex (each vertex admits a nonzero
-hom into some member).  Enumeration grows cliques of the orthogonality
-graph over candidates in (node, level) order, with one Python-int bit mask
-per candidate for its orthogonal partners and one per vertex for the
-candidates it covers; a branch is cut when too few candidates remain or
-some vertex can no longer be covered.  The cardinality of every
-configuration equals the simple count of the type, which is used as a
-cutoff.
+hom into some member).  Enumeration keeps one Python-int bit mask per
+candidate for its orthogonal partners and one per vertex for the
+candidates it covers.  Each search node branches on the uncovered vertex
+with the fewest coverers left: branch i takes its i-th coverer and drops
+the earlier ones, so every configuration is reached once, through its
+first coverer of that vertex, and a vertex left with no coverer cuts the
+branch.  The cardinality of every configuration equals the simple count
+of the type: it caps the search, and a covering reached with fewer
+members raises `CardinalityError`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ def is_configuration(q: StableTranslationQuiver, subset) -> tuple[bool, str]:
     return True, "configuration"
 
 
+class CardinalityError(RuntimeError):
+    """An orthogonal set covered the quotient with fewer members than the
+    type has simples."""
+
+
 def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
     """All configurations, canonically sorted."""
     card = num_simples(q.rfs_type)
@@ -69,25 +76,32 @@ def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
     ]
     out: list[Config] = []
 
-    def extend(chosen: int, size: int, pool: int):
-        # pool: candidates above the last chosen one, orthogonal to all chosen
-        if size == card:
-            if all(c & chosen for c in coverers):
-                members = (v for k, v in enumerate(candidates) if chosen >> k & 1)
-                out.append(tuple(sorted(members)))
+    def extend(members: Config, pool: int, uncovered: list[int]):
+        # pool: candidates orthogonal to all members and not excluded by an
+        # earlier branch; uncovered: coverer masks of the vertices that no
+        # member covers
+        if not uncovered:
+            if len(members) != card:
+                raise CardinalityError(
+                    f"{q.rfs_type}: {members} covers with fewer than {card} members"
+                )
+            out.append(tuple(sorted(members)))
             return
-        if size + pool.bit_count() < card:
+        if len(members) == card:
             return
-        avail = chosen | pool
-        if not all(c & avail for c in coverers):
-            return
-        while pool:
-            low = pool & -pool
+        # branch on the uncovered vertex with the fewest coverers left
+        left = [(c & pool).bit_count() for c in uncovered]
+        branch = uncovered[left.index(min(left))] & pool
+        while branch:
+            low = branch & -branch
+            branch ^= low
             pool ^= low
-            extend(chosen | low, size + 1, pool & orth[low.bit_length() - 1])
+            k = low.bit_length() - 1
+            rest = [c for c in uncovered if not c & low]
+            extend(members + (candidates[k],), pool & orth[k], rest)
 
-    extend(0, 0, (1 << len(candidates)) - 1)
-    return sorted(set(out))
+    extend((), (1 << len(candidates)) - 1, coverers)
+    return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 The mesh oracle in `meshcat` is the only caller in the package: it ranks
 graded path spaces with `SpanTracker`, so no floating-point tolerance
 appears.  The module backend needs no linear algebra, as its homs are
-sets of depths.  Matrices are lists of row tuples with Fraction entries
-and stay tiny (dimensions in the tens), hence plain Gaussian elimination
-is enough.
+sets of depths.  Vectors hold ints and Fractions, which mix exactly, and
+stay tiny (dimensions in the tens), hence plain Gaussian elimination is
+enough.
 
-`nullspace` and `integer_rank` have no caller in the package.  The tests
-use them, and `SpanTracker`, as brute-force references: `integer_rank` is
-the elimination that pushout middles were once decomposed with, and span
+`integer_rank` has no caller in the package.  The tests use it, and
+`SpanTracker`, as brute-force references: `integer_rank` is the
+elimination that pushout middles were once decomposed with, and span
 tracking on explicit hom vectors is how stable bases and minimal
 approximations were once found; the depth-set versions in `nakayama` are
 checked against both.  The benchmark tracer (perfbench/tracer.py) also
@@ -20,10 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class SpanTracker:
@@ -43,9 +39,9 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[Fraction]:
+    def reduce(self, vec) -> list[int | Fraction]:
         """Eliminate all pivot coordinates of `vec`; returns a new list."""
-        v = [_frac(x) for x in vec]
+        v = list(vec)
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
@@ -79,7 +75,7 @@ class SpanTracker:
         pivset = set(self.pivots)
         return [j for j in range(self.ncols) if j not in pivset]
 
-    def quotient_coords(self, vec) -> tuple[Fraction, ...]:
+    def quotient_coords(self, vec) -> tuple[int | Fraction, ...]:
         """Coordinates of `vec` in the complement basis (free columns).
 
         The induced map is linear with kernel exactly the tracked span,
@@ -87,28 +83,6 @@ class SpanTracker:
         """
         v = self.reduce(vec)
         return tuple(v[j] for j in self.free_columns())
-
-
-def rank(rows, ncols: int) -> int:
-    st = SpanTracker(ncols)
-    for r in rows:
-        st.add(r)
-    return st.rank
-
-
-def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : A x = 0} of the matrix with given rows."""
-    st = SpanTracker(ncols)
-    for r in rows:
-        st.add(r)
-    basis = []
-    for free in st.free_columns():
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, piv in zip(st.rows, st.pivots):
-            v[piv] = -row[free]
-        basis.append(tuple(v))
-    return basis
 
 
 def integer_rank(rows) -> int:

@@ -13,8 +13,10 @@ Two routes are provided and must agree:
 
 Every table spans the band window [x0, x0 + 2h + 1] of its source x: homs
 vanish outside the h slices after x (`_assert_support_band`), so the window
-holds every nonzero hom.  By tau-equivariance one fast table per node,
-computed once per process for the source (0, node), serves every level.
+holds every nonzero hom, and a table stores only those.  By
+tau-equivariance one fast table per node, computed once per process for
+the source (0, node), serves every level.  The arrows into each node, the
+node depths and the node set are looked up once per graph (`_steps`).
 
 Quotient homs are covering sums: each row pushes the ZQ table of its source
 forward along the covering ZQ -> ZQ / <zeta tau^{-r}>, so every lift of the
@@ -29,13 +31,7 @@ from functools import cache
 
 from .dynkin import DynkinGraph, coxeter_number
 from .linalg import SpanTracker
-from .ztquiver import (
-    StableTranslationQuiver,
-    Window,
-    ZVert,
-    arrows_in,
-    t_grade,
-)
+from .ztquiver import StableTranslationQuiver, ZVert
 
 class SupportBandError(AssertionError):
     """A nonzero hom appeared outside the expected support band."""
@@ -43,7 +39,10 @@ class SupportBandError(AssertionError):
 
 @dataclass(frozen=True)
 class HomTable:
-    """Dimensions of Hom(source, -) over a window of ZQ."""
+    """Dimensions of Hom(source, -) over a window of ZQ.
+
+    `dims` holds the nonzero dimensions only; every other vertex has 0.
+    """
 
     graph: DynkinGraph
     source: ZVert
@@ -54,84 +53,117 @@ class HomTable:
         return self.dims.get(target, 0)
 
     def support(self) -> list[ZVert]:
-        return sorted(v for v, d in self.dims.items() if d)
+        return sorted(self.dims)
 
 
-def _window_for(graph: DynkinGraph, x: ZVert) -> Window:
-    return Window(graph, x[0], x[0] + 2 * coxeter_number(graph) + 1)
+class _Steps:
+    """Per-graph lookup tables of ZQ shared by every hom table."""
+
+    def __init__(self, graph: DynkinGraph):
+        ins: dict[int, list[tuple[int, int]]] = {q: [] for q in graph.nodes}
+        for i, j in graph.oriented_edges():
+            ins[j].append((0, i))
+            ins[i].append((-1, j))
+        # ins[node]: (level offset, node) of each arrow into (p, node), in
+        # the order of `arrows_in`
+        self.ins = {q: tuple(arrows) for q, arrows in ins.items()}
+        self.depth = {q: graph.depth(q) for q in graph.nodes}
+        self.nodes = frozenset(graph.nodes)
 
 
-def _ordered_vertices(graph: DynkinGraph, win: Window, start: ZVert):
-    verts = [v for v in win.vertices if t_grade(graph, v) >= t_grade(graph, start)]
-    verts.sort(key=lambda v: (t_grade(graph, v), v))
-    return verts
+_steps = cache(_Steps)
+
+
+def _window_for(graph: DynkinGraph, x: ZVert) -> tuple[int, int]:
+    return x[0], x[0] + 2 * coxeter_number(graph) + 1
+
+
+def _ordered_vertices(graph: DynkinGraph, source: ZVert) -> list[ZVert]:
+    """Window vertices not below the source's t-grade, by (t-grade, vertex).
+
+    A table built over these stores nothing else, so an arrow tail outside
+    the window reads as 0 without a membership test.
+    """
+    depth = _steps(graph).depth
+    lo, hi = _window_for(graph, source)
+    t0 = 2 * source[0] + depth[source[1]]
+    keyed = [
+        (2 * p + d, p, q)
+        for p in range(lo, hi + 1)
+        for q, d in depth.items()
+        if 2 * p + d >= t0
+    ]
+    keyed.sort()
+    return [(p, q) for _, p, q in keyed]
 
 
 def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Exact mesh-category hom dimensions from `source` over its band window."""
-    win = _window_for(graph, source)
-    verts = _ordered_vertices(graph, win, source)
+    ins_of = _steps(graph).ins
     dims: dict[ZVert, int] = {}
     # arrow_maps[(u, v)]: columns (one per basis class at u) of the
     # post-composition map Hom(x,u) -> Hom(x,v).
-    arrow_maps: dict[tuple[ZVert, ZVert], list[tuple[Fraction, ...]]] = {}
+    arrow_maps: dict[tuple[ZVert, ZVert], list[tuple[int | Fraction, ...]]] = {}
 
-    for v in verts:
+    for v in _ordered_vertices(graph, source):
         if v == source:
             dims[v] = 1
             continue
-        ins = [u for u in arrows_in(graph, v) if win.contains(u)]
-        ins = [u for u in ins if dims.get(u, 0) > 0]
-        width = sum(dims[u] for u in ins)
-        if width == 0:
-            dims[v] = 0
-            continue
+        p, q = v
+        ins = [u for u in ((p + dp, n) for dp, n in ins_of[q]) if u in dims]
         offset = {}
-        acc = 0
+        width = 0
         for u in ins:
-            offset[u] = acc
-            acc += dims[u]
-        tv = (v[0] - 1, v[1])
+            offset[u] = width
+            width += dims[u]
+        if width == 0:
+            continue
+        tv = (p - 1, q)
         tracker = SpanTracker(width)
-        if dims.get(tv, 0) > 0:
-            # mesh relations: the image of Hom(x, tau v) under the maps
-            # "compose with the arrow tau v -> u", stacked over all u -> v
-            for col in range(dims[tv]):
-                vec = [Fraction(0)] * width
-                for u in ins:
-                    cols = arrow_maps.get((tv, u))
-                    if cols is None:
-                        continue
-                    for row, entry in enumerate(cols[col]):
-                        vec[offset[u] + row] += entry
-                tracker.add(vec)
-        dims[v] = width - tracker.rank
+        # mesh relations: the image of Hom(x, tau v) under the maps
+        # "compose with the arrow tau v -> u", stacked over all u -> v
+        for col in range(dims.get(tv, 0)):
+            vec = [0] * width
+            for u in ins:
+                cols = arrow_maps.get((tv, u))
+                if cols is None:
+                    continue
+                for row, entry in enumerate(cols[col], offset[u]):
+                    vec[row] += entry
+            tracker.add(vec)
+        d = width - tracker.rank
+        if not d:
+            continue
+        dims[v] = d
         for u in ins:
             cols = []
-            for k in range(dims[u]):
-                e = [Fraction(0)] * width
-                e[offset[u] + k] = Fraction(1)
+            for k in range(offset[u], offset[u] + dims[u]):
+                e = [0] * width
+                e[k] = 1
                 cols.append(tracker.quotient_coords(e))
             arrow_maps[(u, v)] = cols
 
-    table = HomTable(graph, source, (win.p_min, win.p_max), dims)
+    table = HomTable(graph, source, _window_for(graph, source), dims)
     _assert_support_band(table)
     return table
 
 
 def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Clamped additive recursion for the same dimensions."""
-    win = _window_for(graph, source)
-    verts = _ordered_vertices(graph, win, source)
+    ins_of = _steps(graph).ins
     dims: dict[ZVert, int] = {}
-    for v in verts:
+    get = dims.get
+    for v in _ordered_vertices(graph, source):
         if v == source:
             dims[v] = 1
             continue
-        total = sum(dims.get(u, 0) for u in arrows_in(graph, v) if win.contains(u))
-        total -= dims.get((v[0] - 1, v[1]), 0)
-        dims[v] = max(total, 0)
-    table = HomTable(graph, source, (win.p_min, win.p_max), dims)
+        p, q = v
+        total = -get((p - 1, q), 0)
+        for dp, n in ins_of[q]:
+            total += get((p + dp, n), 0)
+        if total > 0:
+            dims[v] = total
+    table = HomTable(graph, source, _window_for(graph, source), dims)
     _assert_support_band(table)
     return table
 
@@ -139,8 +171,9 @@ def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
 def _assert_support_band(table: HomTable) -> None:
     """Nonzero homs from the source lie on its nodes within h slices ahead."""
     h = coxeter_number(table.graph)
+    nodes = _steps(table.graph).nodes
     for (p, q), d in table.dims.items():
-        if d and not (0 <= p - table.source[0] <= h and q in table.graph.nodes):
+        if not (0 <= p - table.source[0] <= h and q in nodes):
             raise SupportBandError(
                 f"hom({table.source},({p},{q})) = {d} outside the {h}-slice band"
             )
@@ -182,7 +215,6 @@ def quotient_hom_table(q: StableTranslationQuiver) -> dict:
     table = {(e, f): 0 for e in q.vertices for f in q.vertices}
     for e in q.vertices:
         for (p, node), d in _node_table(q.graph, e[1]).dims.items():
-            if d:
-                table[(e, q.canonical((e[0] + p, node)))] += d
+            table[(e, q.canonical((e[0] + p, node)))] += d
     _quotient_cache[key] = table
     return table

@@ -3,10 +3,70 @@ from math import comb
 import pytest
 
 from smsquiver.brauer import (
+    _center,
+    _encode,
+    _tree_graph,
     count_brauer_trees,
     count_marked_extremal_trees,
     rooted_plane_trees,
 )
+
+
+def all_roots_canonical(neighbors, marked=None):
+    """Least encoding over every root vertex and rotation."""
+    forms = []
+    for root, ring in neighbors.items():
+        if not ring:
+            forms.append(_encode(neighbors, root, None, marked))
+            continue
+        for first in ring:
+            forms.append(_encode(neighbors, root, first, marked))
+    return min(forms)
+
+
+def reference_counts(edges):
+    """(plane trees, with a marked vertex, with a marked leaf) up to
+    isomorphism, deduplicated by the all-roots encoding."""
+    classes = {}
+    for tree in rooted_plane_trees(edges):
+        neighbors = _tree_graph(tree)
+        classes.setdefault(all_roots_canonical(neighbors), neighbors)
+    marked = set()
+    extremal = set()
+    for neighbors in classes.values():
+        for v, ring in neighbors.items():
+            form = all_roots_canonical(neighbors, marked=v)
+            marked.add(form)
+            if len(ring) <= 1:
+                extremal.add(form)
+    return len(classes), len(marked), len(extremal)
+
+
+@pytest.mark.parametrize("edges", range(1, 9))
+def test_center_rooted_counts_match_all_roots_reference(edges):
+    unmarked, marked, extremal = reference_counts(edges)
+    assert count_brauer_trees(edges, 1) == unmarked
+    assert count_brauer_trees(edges, 2) == count_brauer_trees(edges, 3) == marked
+    assert count_marked_extremal_trees(edges) == extremal
+
+
+def eccentricity(neighbors, v):
+    seen, frontier, depth = {v}, [v], 0
+    while True:
+        frontier = [w for u in frontier for w in neighbors[u] if w not in seen]
+        if not frontier:
+            return depth
+        seen.update(frontier)
+        depth += 1
+
+
+def test_center_minimizes_eccentricity():
+    for edges in range(0, 7):
+        for tree in rooted_plane_trees(edges):
+            neighbors = _tree_graph(tree)
+            ecc = {v: eccentricity(neighbors, v) for v in neighbors}
+            least = min(ecc.values())
+            assert sorted(_center(neighbors)) == [v for v in ecc if ecc[v] == least]
 
 
 def test_rooted_trees_are_counted_by_catalan():

@@ -5,6 +5,7 @@ from math import comb, gcd
 import pytest
 
 from smsquiver.configs import (
+    CardinalityError,
     _type_grid,
     enumerate_configurations,
     in_single_orbit_list,
@@ -73,15 +74,79 @@ def reference_enumeration(q):
     return sorted(set(out))
 
 
-def test_bitmask_cliques_match_set_based_backtracking():
-    # the reference takes 8 to 100 s on each quotient with more than 100
-    # vertices (D6 and D7 at f=2), so those are left out
-    types = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
-    for text in types:
+def bitmask_clique_enumeration(q):
+    """Cliques of the orthogonality graph grown over candidates in
+    (node, level) order, one Python-int mask per candidate for its
+    orthogonal partners and one per vertex for the candidates it covers;
+    every vertex is rescanned for a coverer at every node."""
+    card = num_simples(q.rfs_type)
+    table = quotient_hom_table(q)
+    candidates = sorted(
+        (v for v in q.vertices if table[(v, v)] == 1),
+        key=lambda v: (v[1], v[0]),
+    )
+    orth = [
+        sum(
+            1 << j
+            for j, b in enumerate(candidates)
+            if a != b and not table[(a, b)] and not table[(b, a)]
+        )
+        for a in candidates
+    ]
+    coverers = [
+        sum(1 << k for k, c in enumerate(candidates) if table[(v, c)])
+        for v in q.vertices
+    ]
+    out = []
+
+    def extend(chosen, size, pool):
+        if size == card:
+            if all(c & chosen for c in coverers):
+                members = (v for k, v in enumerate(candidates) if chosen >> k & 1)
+                out.append(tuple(sorted(members)))
+            return
+        if size + pool.bit_count() < card:
+            return
+        avail = chosen | pool
+        if not all(c & avail for c in coverers):
+            return
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            extend(chosen | low, size + 1, pool & orth[low.bit_length() - 1])
+
+    extend(0, 0, (1 << len(candidates)) - 1)
+    return sorted(set(out))
+
+
+GRID_TYPES = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
+
+
+def test_scarcest_vertex_branching_matches_both_references():
+    # the set-based reference takes 8 to 100 s on each quotient with more
+    # than 100 vertices (D6 and D7 at f=2), so only the bitmask one runs there
+    for text in GRID_TYPES:
         q = quotient(parse_type(text))
-        if len(q.vertices) > 100:
-            continue
-        assert enumerate_configurations(q) == reference_enumeration(q), text
+        configs = enumerate_configurations(q)
+        assert configs == bitmask_clique_enumeration(q), text
+        if len(q.vertices) <= 100:
+            assert configs == reference_enumeration(q), text
+
+
+def test_d7_at_frequency_two_is_pinned():
+    q = quotient(parse_type("D:7/f=2/t=1"))
+    assert len(q.vertices) == 154
+    assert len(enumerate_configurations(q)) == 1122
+
+
+def test_short_covering_raises(monkeypatch):
+    # with the simple count raised by one, the true configurations cover
+    # the quotient one member short of it
+    monkeypatch.setattr(
+        "smsquiver.configs.num_simples", lambda t: num_simples(t) + 1
+    )
+    with pytest.raises(CardinalityError):
+        enumerate_configurations(quotient(parse_type("A:3/f=1/t=1")))
 
 
 def test_empty_set_fails_covering():
@@ -227,14 +292,12 @@ def test_e6_enumeration_behind_the_flag():
 # A_n, (3n-4)/n * binom(2n-3, n-1) for D_n, and 418, 2431, 17342 for E.
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_type_counts_are_catalan(n):
     q = quotient(parse_type(f"A:{n}/f=1/t=1"))
     assert len(enumerate_configurations(q)) == comb(2 * n, n) // (n + 1)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("n,count", [(4, 20), (5, 77), (6, 294), (7, 1122)])
 def test_d_type_counts_fit_the_closed_form(n, count):
     assert (3 * n - 4) * comb(2 * n - 3, n - 1) == n * count
@@ -242,8 +305,9 @@ def test_d_type_counts_fit_the_closed_form(n, count):
     assert len(enumerate_configurations(q)) == count
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("n,count", [(7, 2431), (8, 17342)])
+@pytest.mark.parametrize(
+    "n,count", [(7, 2431), pytest.param(8, 17342, marks=pytest.mark.slow)]
+)
 def test_e_type_counts(n, count):
     # E6 (418) is pinned by test_e6_enumeration_behind_the_flag
     q = quotient(parse_type(f"E:{n}/f=1/t=1"))

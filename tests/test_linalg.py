@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from smsquiver.linalg import SpanTracker, integer_rank, nullspace, rank
+from linalg_reference import nullspace, rank
+
+from smsquiver.linalg import SpanTracker, integer_rank
 
 
 def test_rank_and_membership():
@@ -44,3 +46,11 @@ def test_integer_rank_matches_rational_rank():
         [0, 0, 0, 0],
     ]
     assert integer_rank(rows) == rank(rows, 4) == 2
+
+
+def test_integer_vectors_reduce_exactly():
+    # vectors are copied, not converted: ints and Fractions mix exactly
+    st = SpanTracker(2)
+    st.add((2, 1))
+    assert st.quotient_coords((1, 0)) == (Fraction(-1, 2),)
+    assert st.quotient_coords((0, 1)) == (1,)

@@ -20,6 +20,8 @@ from smsquiver.meshcat import (
     SupportBandError,
     _assert_support_band,
     _node_table,
+    _ordered_vertices,
+    _steps,
     fast_table,
     hom_dim_fast,
     hom_dim_oracle,
@@ -28,6 +30,7 @@ from smsquiver.meshcat import (
     quotient_hom_table,
 )
 from smsquiver.ztquiver import (
+    Window,
     arrows_in,
     arrows_out,
     automorphisms,
@@ -37,6 +40,12 @@ from smsquiver.ztquiver import (
 
 # every type of the transitivity grid, plus E6 with and without torsion
 GRID_TYPES = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
+# every graph criterion 1 names
+ALL_GRAPHS = (
+    [("A", n) for n in range(1, 13)]
+    + [("D", n) for n in range(4, 13)]
+    + [("E", n) for n in (6, 7, 8)]
+)
 
 
 def _paths(graph, x, y):
@@ -111,7 +120,7 @@ def test_support_band_and_window_guard():
     graph = DynkinGraph("A", 3)
     h = coxeter_number(graph)
     table = oracle_table(graph, (0, 2))
-    assert all(p - 0 <= h for (p, q), d in table.dims.items() if d)
+    assert all(p - 0 <= h for p, q in table.dims)
     # tables no longer take a window, so none can be too small: the fixed
     # window starts at the source and reaches past its h-slice band
     for x in [(0, 2), (5, 1), (-3, 3)]:
@@ -137,16 +146,43 @@ def test_out_of_band_cache_entry_is_a_miss(entry):
 def test_fast_equals_oracle_off_acceptance_sizes():
     # exhaustive parity from every node of every graph criterion 1 names;
     # criterion 9 covers A2-A5, D4, D5 and E6 over wider source sets
-    graphs = (
-        [("A", n) for n in range(1, 13)]
-        + [("D", n) for n in range(4, 13)]
-        + [("E", n) for n in (6, 7, 8)]
-    )
-    for family, rank in graphs:
+    for family, rank in ALL_GRAPHS:
         graph = DynkinGraph(family, rank)
         for q in graph.nodes:
             fast = fast_table(graph, (0, q)).dims
             assert fast == oracle_table(graph, (0, q)).dims, (family, rank, q)
+
+
+def test_step_tables_match_the_quiver():
+    # the per-graph tables give the arrows into each vertex in the order of
+    # arrows_in, and the band's vertices in the order of a window scan
+    for family, rank in ALL_GRAPHS:
+        graph = DynkinGraph(family, rank)
+        steps = _steps(graph)
+        assert steps.nodes == set(graph.nodes)
+        h = coxeter_number(graph)
+        for q in graph.nodes:
+            assert steps.depth[q] == graph.depth(q)
+            for p in (-3, 0, 7):
+                ins = [(p + dp, n) for dp, n in steps.ins[q]]
+                assert ins == arrows_in(graph, (p, q))
+            source = (5, q)
+            window = Window(graph, 5, 5 + 2 * h + 1)
+            start = t_grade(graph, source)
+            scanned = sorted(
+                (t_grade(graph, v), v)
+                for v in window.vertices
+                if t_grade(graph, v) >= start
+            )
+            assert _ordered_vertices(graph, source) == [v for _, v in scanned]
+
+
+def test_tables_store_only_nonzero_homs():
+    for family, rank in [("A", 4), ("D", 5), ("E", 6)]:
+        graph = DynkinGraph(family, rank)
+        for q in graph.nodes:
+            for table in (fast_table(graph, (0, q)), oracle_table(graph, (0, q))):
+                assert all(table.dims.values())
 
 
 def test_hammock_rectangle_for_a_type():
@@ -174,7 +210,7 @@ def test_translation_equivariance():
 def test_a1_has_only_identities():
     graph = DynkinGraph("A", 1)
     table = oracle_table(graph, (0, 1))
-    assert {v: d for v, d in table.dims.items() if d} == {(0, 1): 1}
+    assert table.dims == {(0, 1): 1}
 
 
 def test_quotient_hom_examples():

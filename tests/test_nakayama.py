@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linalg_reference import nullspace
 
 from smsquiver.linalg import SpanTracker, integer_rank
 from smsquiver.nakayama import (
@@ -55,8 +56,6 @@ def brute_hom_dims(A, m, n):
                 row[pos[(i, j - 1)]] -= 1
             if any(row):
                 rows.append(row)
-    from smsquiver.linalg import nullspace
-
     hom_basis = nullspace(rows, len(unknowns))
     # maps through the projective cover of n
     cover = A.projective(n.top)
@@ -89,8 +88,6 @@ def brute_hom_space(A, m, n):
                 row[pos[(i, j - 1)]] -= 1
             if any(row):
                 rows.append(row)
-    from smsquiver.linalg import nullspace
-
     return nullspace(rows, len(unknowns))
 
 
