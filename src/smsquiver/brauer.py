@@ -4,8 +4,8 @@ A Brauer tree with d edges and multiplicity m is a plane tree (a tree with
 a cyclic ordering of the edges around every vertex) together with, when
 m >= 2, one distinguished exceptional vertex.  Isomorphism preserves the
 cyclic orderings; counting is done by enumerating rooted plane trees and
-deduplicating canonical forms: the least encoding over every rotation at
-the tree's center, which every isomorphism fixes.
+deduplicating canonical forms: the least flat encoding over every rotation
+at the tree's center, which every isomorphism fixes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ def _tree_graph(tree):
 
 
 def _encode(neighbors, root, first, marked=None):
-    """Serialize by DFS respecting cyclic order, entering at `first`."""
+    """Serialize by DFS respecting cyclic order, entering at `first`.
+
+    A flat tuple: each vertex writes its mark (0 or 1), then its subtrees,
+    then 2, so the tuple parses back into the tree it came from.
+    """
+    out = []
 
     def visit(v, parent):
         ring = neighbors[v]
@@ -55,10 +60,13 @@ def _encode(neighbors, root, first, marked=None):
         else:
             start = ring.index(parent)
             ordered = ring[start + 1 :] + ring[:start]
-        mark = 1 if v == marked else 0
-        return (mark,) + tuple(visit(w, v) for w in ordered)
+        out.append(1 if v == marked else 0)
+        for w in ordered:
+            visit(w, v)
+        out.append(2)
 
-    return visit(root, None)
+    visit(root, None)
+    return tuple(out)
 
 
 def _center(neighbors):
@@ -81,14 +89,11 @@ def _center(neighbors):
 def _canonical(neighbors, marked=None):
     """Least encoding over the darts at the center.  Isomorphisms keep the
     center, so this is a complete invariant."""
-    forms = []
-    for root in _center(neighbors):
-        ring = neighbors[root]
-        if not ring:
-            forms.append(_encode(neighbors, root, None, marked))
-        for first in ring:
-            forms.append(_encode(neighbors, root, first, marked))
-    return min(forms)
+    return min(
+        _encode(neighbors, root, first, marked)
+        for root in _center(neighbors)
+        for first in neighbors[root]
+    )
 
 
 def _plane_tree_classes(edges: int):

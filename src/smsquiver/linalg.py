@@ -5,7 +5,10 @@ graded path spaces with `SpanTracker`, so no floating-point tolerance
 appears.  The module backend needs no linear algebra, as its homs are
 sets of depths.  Vectors hold ints and Fractions, which mix exactly, and
 stay tiny (dimensions in the tens), hence plain Gaussian elimination is
-enough.
+enough.  A pivot of 1 or -1 is normalised by keeping the row or flipping
+its sign, so integer rows with unit pivots stay integers; every pivot the
+mesh oracle meets is one of these, so the oracle does no Fraction
+arithmetic.  Any other pivot divides through by a Fraction.
 
 `integer_rank` has no caller in the package.  The tests use it, and
 `SpanTracker`, as brute-force references: `integer_rank` is the
@@ -32,7 +35,7 @@ class SpanTracker:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int | Fraction]] = []
         self.pivots: list[int] = []
 
     @property
@@ -55,8 +58,12 @@ class SpanTracker:
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = Fraction(1) / v[piv]
-        v = [x * inv for x in v]
+        pv = v[piv]
+        if pv == -1:
+            v = [-x for x in v]
+        elif pv != 1:
+            inv = Fraction(1) / pv
+            v = [x * inv for x in v]
         # back-eliminate to keep the basis reduced
         for row in self.rows:
             c = row[piv]

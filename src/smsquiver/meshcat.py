@@ -16,7 +16,15 @@ vanish outside the h slices after x (`_assert_support_band`), so the window
 holds every nonzero hom, and a table stores only those.  By
 tau-equivariance one fast table per node, computed once per process for
 the source (0, node), serves every level.  The arrows into each node, the
-node depths and the node set are looked up once per graph (`_steps`).
+node depths and the node set are looked up once per graph (`_steps`), and
+the window's vertex order once per node (`_band_order`).
+
+Both tables visit the window by t-grade and end at the first empty one.
+Every arrow raises the t-grade by 1, so every path into v other than the
+identity ends with an arrow u -> v from one grade lower.  In the oracle
+Hom(x, v) is a quotient of the sum of Hom(x, u) over those arrows; in the
+fast recursion the clamped sum is 0 when every incoming term is.  So once
+a whole grade holds no nonzero hom, every later vertex is 0 as well.
 
 Quotient homs are covering sums: each row pushes the ZQ table of its source
 forward along the covering ZQ -> ZQ / <zeta tau^{-r}>, so every lift of the
@@ -78,39 +86,44 @@ def _window_for(graph: DynkinGraph, x: ZVert) -> tuple[int, int]:
     return x[0], x[0] + 2 * coxeter_number(graph) + 1
 
 
-def _ordered_vertices(graph: DynkinGraph, source: ZVert) -> list[ZVert]:
-    """Window vertices not below the source's t-grade, by (t-grade, vertex).
+@cache
+def _band_order(graph: DynkinGraph, node: int) -> tuple[tuple[int, int, int], ...]:
+    """Band-window vertices of the source (0, node) not below its t-grade,
+    by (t-grade, vertex), as (t-grade - source t-grade, level, node).
 
-    A table built over these stores nothing else, so an arrow tail outside
+    Shifting the source by s levels shifts every t-grade by 2s, so this
+    order, shifted to the source's level, serves every source on `node`.
+    A table built over it stores nothing else, so an arrow tail outside
     the window reads as 0 without a membership test.
     """
     depth = _steps(graph).depth
-    lo, hi = _window_for(graph, source)
-    t0 = 2 * source[0] + depth[source[1]]
-    keyed = [
-        (2 * p + d, p, q)
-        for p in range(lo, hi + 1)
-        for q, d in depth.items()
-        if 2 * p + d >= t0
-    ]
-    keyed.sort()
-    return [(p, q) for _, p, q in keyed]
+    lo, hi = _window_for(graph, (0, node))
+    t0 = depth[node]
+    return tuple(
+        sorted(
+            (2 * p + d - t0, p, q)
+            for p in range(lo, hi + 1)
+            for q, d in depth.items()
+            if 2 * p + d >= t0
+        )
+    )
 
 
 def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Exact mesh-category hom dimensions from `source` over its band window."""
     ins_of = _steps(graph).ins
-    dims: dict[ZVert, int] = {}
+    p0 = source[0]
+    dims: dict[ZVert, int] = {source: 1}
     # arrow_maps[(u, v)]: columns (one per basis class at u) of the
     # post-composition map Hom(x,u) -> Hom(x,v).
     arrow_maps: dict[tuple[ZVert, ZVert], list[tuple[int | Fraction, ...]]] = {}
+    last = 0  # t-grade offset of the last nonzero hom
 
-    for v in _ordered_vertices(graph, source):
-        if v == source:
-            dims[v] = 1
-            continue
-        p, q = v
-        ins = [u for u in ((p + dp, n) for dp, n in ins_of[q]) if u in dims]
+    for g, dp, q in _band_order(graph, source[1]):
+        if g > last + 1:
+            break
+        p = p0 + dp
+        ins = [u for u in ((p + dq, n) for dq, n in ins_of[q]) if u in dims]
         offset = {}
         width = 0
         for u in ins:
@@ -118,6 +131,7 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
             width += dims[u]
         if width == 0:
             continue
+        v = (p, q)
         tv = (p - 1, q)
         tracker = SpanTracker(width)
         # mesh relations: the image of Hom(x, tau v) under the maps
@@ -135,6 +149,7 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
         if not d:
             continue
         dims[v] = d
+        last = g
         for u in ins:
             cols = []
             for k in range(offset[u], offset[u] + dims[u]):
@@ -151,18 +166,20 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
 def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Clamped additive recursion for the same dimensions."""
     ins_of = _steps(graph).ins
-    dims: dict[ZVert, int] = {}
+    p0 = source[0]
+    dims: dict[ZVert, int] = {source: 1}
     get = dims.get
-    for v in _ordered_vertices(graph, source):
-        if v == source:
-            dims[v] = 1
-            continue
-        p, q = v
+    last = 0  # t-grade offset of the last nonzero hom
+    for g, dp, q in _band_order(graph, source[1]):
+        if g > last + 1:
+            break
+        p = p0 + dp
         total = -get((p - 1, q), 0)
-        for dp, n in ins_of[q]:
-            total += get((p + dp, n), 0)
+        for dq, n in ins_of[q]:
+            total += get((p + dq, n), 0)
         if total > 0:
-            dims[v] = total
+            dims[(p, q)] = total
+            last = g
     table = HomTable(graph, source, _window_for(graph, source), dims)
     _assert_support_band(table)
     return table
@@ -206,15 +223,21 @@ def quotient_hom_table(q: StableTranslationQuiver) -> dict:
 
     Row e pushes the table of (0, e[1]) forward along the covering: by
     tau-equivariance that table, shifted by e[0] levels, is Hom(e, -) on
-    ZQ, and each nonzero entry lands on the projection of its vertex.
+    ZQ, and each nonzero entry lands on the projection of its vertex.  Each
+    lifted vertex is projected once, however many rows reach it.
     """
     key = str(q.rfs_type)
     cached = _quotient_cache.get(key)
     if cached is not None:
         return cached
     table = {(e, f): 0 for e in q.vertices for f in q.vertices}
+    projection: dict[ZVert, ZVert] = {}
     for e in q.vertices:
         for (p, node), d in _node_table(q.graph, e[1]).dims.items():
-            table[(e, q.canonical((e[0] + p, node)))] += d
+            lift = (e[0] + p, node)
+            f = projection.get(lift)
+            if f is None:
+                f = projection[lift] = q.canonical(lift)
+            table[(e, f)] += d
     _quotient_cache[key] = table
     return table

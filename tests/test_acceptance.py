@@ -7,7 +7,11 @@ report.
 
 import pytest
 
+from smsquiver import acceptance
 from smsquiver.acceptance import CRITERIA, run
+from smsquiver.dynkin import DynkinGraph, coxeter_number
+from smsquiver.meshcat import HomTable
+from smsquiver.ztquiver import Window
 
 
 @pytest.mark.parametrize("number", [c[0] for c in CRITERIA], ids=lambda n: f"criterion-{n}")
@@ -26,3 +30,71 @@ def test_full_run_reports_every_criterion(capsys):
     assert all(r.passed for r in results)
     for number, *_ in CRITERIA:
         assert f"criterion {number:2d} [pass]" in out
+
+
+def double_loop_criterion_9():
+    """Check 9 as the scan over every pair of window vertices it replaced."""
+    pairs = 0
+    for family, rank in acceptance.MESH_GRAPHS:
+        graph = DynkinGraph(family, rank)
+        verts = Window(graph, 0, 2 * coxeter_number(graph)).vertices
+        oracle = {x: acceptance.oracle_table(graph, x) for x in verts}
+        fast = {x: acceptance.fast_table(graph, x) for x in verts}
+        for x in verts:
+            for y in verts:
+                if oracle[x].dim(y) != fast[x].dim(y):
+                    return False, f"{family}{rank}: mismatch at {x}->{y}"
+                pairs += 1
+        for x in verts:
+            tx = (x[0] - 1, x[1])
+            if tx not in oracle:
+                continue
+            for y in verts:
+                ty = (y[0] - 1, y[1])
+                if ty in oracle and oracle[x].dim(y) != oracle[tx].dim(ty):
+                    return False, f"{family}{rank}: tau-equivariance fails {x}->{y}"
+    return True, f"{pairs} pairs agree across {len(acceptance.MESH_GRAPHS)} tree classes"
+
+
+def perturbed(table_fn, source, targets):
+    """`table_fn` with Hom(source, y) on A3 raised by one at each target y."""
+
+    def wrapped(graph, x):
+        table = table_fn(graph, x)
+        if str(graph) != "A3" or x != source:
+            return table
+        dims = {**table.dims, **{y: table.dim(y) + 1 for y in targets}}
+        return HomTable(table.graph, table.source, table.window, dims)
+
+    return wrapped
+
+
+def test_check_9_counts_the_pairs_of_the_double_loop():
+    result = acceptance.criterion_9()
+    assert result == double_loop_criterion_9()
+    assert result == (True, "39515 pairs agree across 7 tree classes")
+
+
+# two entries inside the window raised, the first in window order where the
+# hom is 1 or where it is 0; the report names that first one
+TARGETS = [((2, 3), (5, 2)), ((5, 2), (6, 1))]
+
+
+@pytest.mark.parametrize("targets", TARGETS)
+def test_check_9_names_the_first_mismatch(monkeypatch, targets):
+    monkeypatch.setattr(acceptance, "fast_table", perturbed(acceptance.fast_table, (2, 1), targets))
+    result = acceptance.criterion_9()
+    assert result == double_loop_criterion_9()
+    assert result == (False, f"A3: mismatch at (2, 1)->{targets[0]}")
+
+
+@pytest.mark.parametrize("targets", TARGETS)
+def test_check_9_names_the_first_tau_failure(monkeypatch, targets):
+    # the same perturbation in both tables: they agree, but the source's
+    # row no longer matches the row of its tau-translate
+    for name in ("oracle_table", "fast_table"):
+        table_fn = getattr(acceptance, name)
+        monkeypatch.setattr(acceptance, name, perturbed(table_fn, (2, 1), targets))
+    result = acceptance.criterion_9()
+    assert result == double_loop_criterion_9()
+    assert result == (False, f"A3: tau-equivariance fails (2, 1)->{targets[0]}")

@@ -1,10 +1,9 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from smsquiver.brauer import (
     _center,
-    _encode,
     _tree_graph,
     count_brauer_trees,
     count_marked_extremal_trees,
@@ -12,16 +11,31 @@ from smsquiver.brauer import (
 )
 
 
+def nested_encoding(neighbors, root, first, marked=None):
+    """Serialize by DFS respecting cyclic order, entering at `first`: each
+    vertex is its mark followed by the encodings of its subtrees."""
+
+    def visit(v, parent):
+        ring = neighbors[v]
+        if parent is None:
+            start = ring.index(first)
+            ordered = ring[start:] + ring[:start]
+        else:
+            start = ring.index(parent)
+            ordered = ring[start + 1 :] + ring[:start]
+        mark = 1 if v == marked else 0
+        return (mark,) + tuple(visit(w, v) for w in ordered)
+
+    return visit(root, None)
+
+
 def all_roots_canonical(neighbors, marked=None):
-    """Least encoding over every root vertex and rotation."""
-    forms = []
-    for root, ring in neighbors.items():
-        if not ring:
-            forms.append(_encode(neighbors, root, None, marked))
-            continue
-        for first in ring:
-            forms.append(_encode(neighbors, root, first, marked))
-    return min(forms)
+    """Least nested encoding over every root vertex and rotation."""
+    return min(
+        nested_encoding(neighbors, root, first, marked)
+        for root, ring in neighbors.items()
+        for first in ring
+    )
 
 
 def reference_counts(edges):
@@ -48,6 +62,26 @@ def test_center_rooted_counts_match_all_roots_reference(edges):
     assert count_brauer_trees(edges, 1) == unmarked
     assert count_brauer_trees(edges, 2) == count_brauer_trees(edges, 3) == marked
     assert count_marked_extremal_trees(edges) == extremal
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("edges", range(1, 10))
+def test_marked_counts_fit_the_necklace_formula(edges):
+    # plane trees with a marked vertex: (1/2n) sum_{d | n} phi(n/d) C(2d, d),
+    # OEIS A003239 (1, 2, 4, 10, 26, 80, 246, 810, 2704)
+    total = sum(totient(edges // d) * comb(2 * d, d) for d in range(1, edges + 1) if edges % d == 0)
+    assert total % (2 * edges) == 0
+    assert count_brauer_trees(edges, 2) == total // (2 * edges)
+
+
+@pytest.mark.parametrize("edges", range(1, 10))
+def test_marked_leaf_counts_are_catalan(edges):
+    # removing the marked leaf's edge leaves a plane tree rooted where that
+    # edge was attached, and every rooted plane tree arises once
+    assert count_marked_extremal_trees(edges) == comb(2 * edges - 2, edges - 1) // edges
 
 
 def eccentricity(neighbors, v):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from linalg_reference import nullspace, rank
+from hypothesis import given
+from hypothesis import strategies as st
+from linalg_reference import FractionSpanTracker, nullspace, rank
 
 from smsquiver.linalg import SpanTracker, integer_rank
 
@@ -54,3 +56,37 @@ def test_integer_vectors_reduce_exactly():
     st.add((2, 1))
     assert st.quotient_coords((1, 0)) == (Fraction(-1, 2),)
     assert st.quotient_coords((0, 1)) == (1,)
+
+
+def test_unit_pivots_keep_integer_rows():
+    # pivots -1, 1 and -1 (the third row is the sum of the first two)
+    tracker = SpanTracker(4)
+    for row in [(-1, -2, 0, 1), (-1, -1, 1, 0), (-2, -3, 1, 1), (2, 3, -1, -2)]:
+        tracker.add(row)
+    assert tracker.rows == [[1, 0, -2, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert all(type(x) is int for row in tracker.rows for x in row)
+    for vec in [(1, 0, 0, 0), (0, 0, 1, 0), (3, -1, 4, 1)]:
+        assert all(type(x) is int for x in tracker.quotient_coords(vec))
+    assert tracker.quotient_coords((0, 0, 1, 0)) == (1,)
+    assert tracker.quotient_coords((1, 0, 0, 0)) == (2,)
+
+
+matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=6),
+        st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+    )
+)
+
+
+@given(matrices)
+def test_tracker_agrees_with_the_fraction_reference(case):
+    rows, probe = case
+    ncols = len(probe)
+    tracker, reference = SpanTracker(ncols), FractionSpanTracker(ncols)
+    for row in rows:
+        assert tracker.add(row) == reference.add(row)
+    assert tracker.rank == reference.rank == integer_rank(rows)
+    assert tracker.rows == reference.rows
+    for vec in rows + [probe, [sum(col) for col in zip(probe, *rows)]]:
+        assert tracker.contains(vec) == reference.contains(vec)

@@ -7,10 +7,13 @@ windows, where it pins down both production implementations.
 
 `reference_quotient_hom_table` is the covering sum taken pair by pair over
 deck translates of the target; it pins the pushforward in
-`quotient_hom_table`.
+`quotient_hom_table`.  `meshcat_reference` scans the whole band window
+with Fraction rows; it pins both tables, which stop at the first empty
+t-grade and keep integer rows.
 """
 
 import pytest
+from meshcat_reference import band_vertices, reference_fast_dims, reference_oracle_dims
 
 from smsquiver.configs import _type_grid
 from smsquiver.dynkin import DynkinGraph, coxeter_number, parse_type
@@ -19,8 +22,8 @@ from smsquiver.meshcat import (
     HomTable,
     SupportBandError,
     _assert_support_band,
+    _band_order,
     _node_table,
-    _ordered_vertices,
     _steps,
     fast_table,
     hom_dim_fast,
@@ -155,7 +158,8 @@ def test_fast_equals_oracle_off_acceptance_sizes():
 
 def test_step_tables_match_the_quiver():
     # the per-graph tables give the arrows into each vertex in the order of
-    # arrows_in, and the band's vertices in the order of a window scan
+    # arrows_in, and the band's vertices, shifted to the source's level, in
+    # the order of a window scan
     for family, rank in ALL_GRAPHS:
         graph = DynkinGraph(family, rank)
         steps = _steps(graph)
@@ -170,11 +174,28 @@ def test_step_tables_match_the_quiver():
             window = Window(graph, 5, 5 + 2 * h + 1)
             start = t_grade(graph, source)
             scanned = sorted(
-                (t_grade(graph, v), v)
+                (t_grade(graph, v) - start, v)
                 for v in window.vertices
                 if t_grade(graph, v) >= start
             )
-            assert _ordered_vertices(graph, source) == [v for _, v in scanned]
+            order = [(g, (5 + p, n)) for g, p, n in _band_order(graph, q)]
+            assert order == scanned
+            assert [v for _, v in scanned] == band_vertices(graph, source)
+
+
+@pytest.mark.parametrize("family,rank", ALL_GRAPHS)
+def test_tables_match_the_full_window_reference(family, rank):
+    # the tables end at the first empty t-grade and keep integer rows; the
+    # references scan the whole window with Fraction rows.  Same values,
+    # same key order, from several levels of every node.
+    graph = DynkinGraph(family, rank)
+    for q in graph.nodes:
+        for level in (0, 3, -2):
+            source = (level, q)
+            oracle = oracle_table(graph, source).dims
+            assert list(oracle.items()) == list(reference_oracle_dims(graph, source).items())
+            fast = fast_table(graph, source).dims
+            assert list(fast.items()) == list(reference_fast_dims(graph, source).items())
 
 
 def test_tables_store_only_nonzero_homs():
