@@ -9,7 +9,6 @@ tests call the same functions, so `pytest tests/test_acceptance.py` and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .brauer import count_brauer_trees
@@ -18,11 +17,12 @@ from .dynkin import DynkinGraph, RfsType, parse_type, validate_rfs_type
 from .meshcat import fast_table, oracle_table
 from .mutation import build_mutation_quiver
 from .nakayama import NakayamaAlgebra, SerialModule
+from .values import Value
 from .ztquiver import Window, quotient
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Value):
+    __slots__ = ("number", "name", "passed", "detail", "seconds", "budget")
     number: int
     name: str
     passed: bool

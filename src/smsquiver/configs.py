@@ -16,12 +16,12 @@ members raises `CardinalityError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .dynkin import DynkinGraph, RfsType, num_simples, validate_rfs_type
 from .meshcat import quotient_hom_table
+from .values import Value
 from .ztquiver import StableTranslationQuiver, ZVert, automorphisms, quotient
 
 Config = tuple[ZVert, ...]
@@ -104,8 +104,8 @@ def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Value):
+    __slots__ = ("representative", "size", "members")
     representative: Config
     size: int
     members: tuple[Config, ...]
@@ -127,8 +127,8 @@ def orbit_decomposition(q: StableTranslationQuiver, configs) -> list[Orbit]:
     return sorted(orbits, key=lambda o: o.representative)
 
 
-@dataclass(frozen=True)
-class TransitivityRow:
+class TransitivityRow(Value):
+    __slots__ = ("rfs_type", "configurations", "orbits", "single_orbit", "listed")
     rfs_type: str
     configurations: int
     orbits: int

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .values import Value
 
 
 class InvalidTypeError(ValueError):
@@ -44,8 +45,8 @@ _E_EDGES = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
+class DynkinGraph(Value):
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
@@ -101,10 +102,10 @@ def coxeter_number(graph: DynkinGraph) -> int:
     return {6: 12, 7: 18, 8: 30}[n]
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(Value):
     """Permutation of Dynkin nodes preserving the edge set."""
 
+    __slots__ = ("graph", "mapping")
     graph: DynkinGraph
     mapping: tuple[int, ...]  # mapping[i-1] = image of node i
 
@@ -162,17 +163,17 @@ def order3_automorphism(graph: DynkinGraph) -> GraphAutomorphism:
     return GraphAutomorphism(graph, (3, 2, 4, 1))
 
 
-@dataclass(frozen=True)
-class RfsType:
+class RfsType(Value):
     """Classification triple (tree class, frequency, torsion order)."""
 
+    __slots__ = ("graph", "frequency", "torsion", "standard")
     graph: DynkinGraph
     frequency: Fraction
     torsion: int
-    standard: bool = field(default=True, compare=True)
+    standard: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "frequency", Fraction(self.frequency))
+    def __init__(self, graph: DynkinGraph, frequency, torsion: int, standard: bool = True):
+        super().__init__(graph, Fraction(frequency), torsion, standard)
 
     @property
     def coxeter(self) -> int:

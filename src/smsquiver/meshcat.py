@@ -33,25 +33,25 @@ target inside the support band contributes once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .dynkin import DynkinGraph, coxeter_number
 from .linalg import SpanTracker
+from .values import Value
 from .ztquiver import StableTranslationQuiver, ZVert
 
 class SupportBandError(AssertionError):
     """A nonzero hom appeared outside the expected support band."""
 
 
-@dataclass(frozen=True)
-class HomTable:
+class HomTable(Value):
     """Dimensions of Hom(source, -) over a window of ZQ.
 
     `dims` holds the nonzero dimensions only; every other vertex has 0.
     """
 
+    __slots__ = ("graph", "source", "window", "dims")
     graph: DynkinGraph
     source: ZVert
     window: tuple[int, int]
@@ -59,9 +59,6 @@ class HomTable:
 
     def dim(self, target: ZVert) -> int:
         return self.dims.get(target, 0)
-
-    def support(self) -> list[ZVert]:
-        return sorted(self.dims)
 
 
 class _Steps:

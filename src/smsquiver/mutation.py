@@ -8,9 +8,9 @@ positional indices, so labels survive canonicalization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .nakayama import BoundExceededError, Multiset, NakayamaAlgebra, SerialModule, _canon
+from .values import Value
 
 
 def nu_orbit_partition(algebra: NakayamaAlgebra, system) -> list[Multiset]:
@@ -49,8 +49,8 @@ def _nu_stable_subsets(parts: list[Multiset]):
         yield _canon(subset)
 
 
-@dataclass(frozen=True)
-class MutationQuiver:
+class MutationQuiver(Value):
+    __slots__ = ("algebra_key", "vertices", "arrows")
     algebra_key: tuple[int, int]
     vertices: tuple[Multiset, ...]
     arrows: tuple[tuple[int, int, str, str], ...]  # (source, target, orbit label, direction)

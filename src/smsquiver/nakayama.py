@@ -32,7 +32,8 @@ Everything is computed exactly, combinatorially and with no linear algebra:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .values import Value, _set
 
 
 class BoundExceededError(ValueError):
@@ -55,10 +56,46 @@ class ConeDecompositionError(RuntimeError):
     """A module decomposition broke an invariant of the serial theory."""
 
 
-@dataclass(frozen=True, order=True)
-class SerialModule:
+class SerialModule(Value):
+    """The serial module M(top, length); ordered by (top, length)."""
+
+    __slots__ = ("top", "length")
     top: int
     length: int
+
+    # The generation engine builds, hashes and sorts millions of these, so
+    # the value methods are written out rather than inherited.
+    def __init__(self, top: int, length: int):
+        _set(self, "top", top)
+        _set(self, "length", length)
+
+    def __hash__(self):
+        return hash((self.top, self.length))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.length) == (other.top, other.length)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.length) < (other.top, other.length)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.length) <= (other.top, other.length)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.length) > (other.top, other.length)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.length) >= (other.top, other.length)
+        return NotImplemented
 
     def __str__(self):
         return f"({self.top},{self.length})"
@@ -462,14 +499,14 @@ class NakayamaAlgebra:
         return "/".join(str(c) for c in self.factors(m))
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(Value):
     """A stacked stable map between a module and add of a subcategory.
 
     `copies` lists (summand, depth of the chosen basis map); the stacked
     map is a minimal left or right approximation of `module`.
     """
 
+    __slots__ = ("module", "copies")
     module: SerialModule
     copies: tuple
 

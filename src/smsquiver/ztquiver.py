@@ -14,9 +14,9 @@ grading-preserving lift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .dynkin import DynkinGraph, GraphAutomorphism, RfsType, admissible_group
+from .values import Value
 
 ZVert = tuple[int, int]
 
@@ -55,10 +55,10 @@ def t_grade(graph: DynkinGraph, v: ZVert) -> int:
     return 2 * v[0] + graph.depth(v[1])
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """Finite slice {(p,q) : p_min <= p <= p_max} of ZQ."""
 
+    __slots__ = ("graph", "p_min", "p_max")
     graph: DynkinGraph
     p_min: int
     p_max: int
@@ -75,22 +75,6 @@ class Window:
             for q in self.graph.nodes
         )
 
-    @property
-    def arrows(self) -> tuple[tuple[ZVert, ZVert], ...]:
-        acc = []
-        for v in self.vertices:
-            for w in arrows_out(self.graph, v):
-                if self.p_min <= w[0] <= self.p_max:
-                    acc.append((v, w))
-        return tuple(acc)
-
-    def contains(self, v: ZVert) -> bool:
-        return self.p_min <= v[0] <= self.p_max and v[1] in self.graph.nodes
-
-    def tau(self, v: ZVert) -> ZVert | None:
-        w = (v[0] - 1, v[1])
-        return w if self.contains(w) else None
-
 
 def zeta_level_shift(graph: DynkinGraph, zeta: GraphAutomorphism, node: int) -> int:
     d = graph.depth(node) - graph.depth(zeta(node))
@@ -99,8 +83,7 @@ def zeta_level_shift(graph: DynkinGraph, zeta: GraphAutomorphism, node: int) -> 
     return d // 2
 
 
-@dataclass(frozen=True)
-class StableTranslationQuiver:
+class StableTranslationQuiver(Value):
     """Finite quotient ZQ / <zeta tau^{-r}> with canonical vertex section.
 
     Canonical representatives: within each deck orbit, levels are first
@@ -109,6 +92,7 @@ class StableTranslationQuiver:
     each vertex is the vertex itself (the identity section).
     """
 
+    __slots__ = ("rfs_type", "r", "zeta", "vertices", "arrows", "tau")
     rfs_type: RfsType
     r: int
     zeta: GraphAutomorphism
@@ -164,9 +148,6 @@ class StableTranslationQuiver:
         if any(a[0] >= b[0] for a, b in zip(lifts, lifts[1:])):
             raise CoveringError(f"lifts of {v} are not ascending by level: {lifts}")
         return lifts
-
-    def arrows_out_of(self, v: ZVert) -> list[ZVert]:
-        return [w for (u, w) in self.arrows if u == v]
 
     def to_json(self) -> str:
         idx = {v: i for i, v in enumerate(self.vertices)}

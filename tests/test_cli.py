@@ -207,3 +207,33 @@ def test_python_dash_m_entry_point():
         proc = run(*argv.split())
         assert proc.returncode == 1, argv
         assert proc.stderr.startswith("error: ")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # comparing sys.modules before and after keeps any preload of the
+    # environment (a .pth file, say) out of the result
+    code = (
+        "import sys; before = set(sys.modules); import smsquiver.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    added = set(proc.stdout.split())
+    assert "smsquiver.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_readme_library_block_runs_verbatim():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = block.strip().splitlines()
+    namespace: dict = {}
+    exec("\n".join(body), namespace)
+    expression, promise = last.split("#")
+    assert promise.split()[0] == "14,"
+    assert eval(expression, namespace) == 14 == len(namespace["A"].all_sms())

@@ -210,7 +210,7 @@ def test_hammock_rectangle_for_a_type():
     graph = DynkinGraph("A", 4)
     for i in graph.nodes:
         table = oracle_table(graph, (0, i))
-        support = set(table.support())
+        support = set(table.dims)
         expected = {
             (p, j)
             for p in range(0, i)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from itertools import permutations
 
@@ -11,6 +10,7 @@ from smsquiver.dynkin import DynkinGraph, parse_type
 from smsquiver.ztquiver import (
     CoveringError,
     MeshSymmetryError,
+    StableTranslationQuiver,
     Window,
     _check_mesh_symmetry,
     arrows_in,
@@ -21,26 +21,31 @@ from smsquiver.ztquiver import (
 )
 
 
+def window_arrows(w: Window) -> list:
+    inside = set(w.vertices)
+    return [(v, u) for v in w.vertices for u in arrows_out(w.graph, v) if u in inside]
+
+
 def test_window_sizes_and_arrows():
     w = Window(DynkinGraph("A", 2), 0, 0)
     assert len(w.vertices) == 2
-    assert w.arrows == (((0, 1), (0, 2)),)
+    assert window_arrows(w) == [((0, 1), (0, 2))]
     w3 = Window(DynkinGraph("A", 3), 0, 2)
     assert len(w3.vertices) == 9
 
 
-def test_tau_inverse_on_interior():
-    w = Window(DynkinGraph("D", 4), 0, 3)
-    for v in w.vertices:
-        t = w.tau(v)
-        if t is not None:
-            assert (t[0] + 1, t[1]) == v
+def test_quotient_tau_is_the_level_shift():
+    q = quotient(parse_type("D:4/f=1/t=1"))
+    for v in q.vertices:
+        t = q.tau[v]
+        assert q.canonical((t[0] + 1, t[1])) == v
 
 
 def test_every_arrow_raises_grade_by_one():
     for g in [DynkinGraph("A", 4), DynkinGraph("D", 5), DynkinGraph("E", 6)]:
-        w = Window(g, 0, 3)
-        for a, b in w.arrows:
+        arrows = window_arrows(Window(g, 0, 3))
+        assert arrows
+        for a, b in arrows:
             assert t_grade(g, b) == t_grade(g, a) + 1
 
 
@@ -77,15 +82,19 @@ def test_quotient_tau_and_mesh():
         assert q.tau[v] == q.canonical((v[0] - 1, v[1]))
 
 
+def with_quiver(q: StableTranslationQuiver, **changes) -> StableTranslationQuiver:
+    """A copy of `q` with some fields replaced."""
+    fields = {name: getattr(q, name) for name in StableTranslationQuiver.__slots__}
+    return StableTranslationQuiver(**{**fields, **changes})
+
+
 def test_broken_quotients_raise_named_errors(monkeypatch):
     q = quotient(parse_type("A:3/f=1/t=2"))
     with pytest.raises(MeshSymmetryError, match="mesh asymmetry"):
-        _check_mesh_symmetry(dataclasses.replace(q, arrows=q.arrows[1:]))
+        _check_mesh_symmetry(with_quiver(q, arrows=q.arrows[1:]))
     first = q.vertices[0]
     with pytest.raises(MeshSymmetryError, match="bijection"):
-        _check_mesh_symmetry(
-            dataclasses.replace(q, arrows=(), tau={v: first for v in q.vertices})
-        )
+        _check_mesh_symmetry(with_quiver(q, arrows=(), tau={v: first for v in q.vertices}))
     # a deck generator that fixes every vertex cannot cover the quotient
     monkeypatch.setattr(type(q), "deck", lambda self, v, power=1: v)
     with pytest.raises(CoveringError, match="ascending"):
@@ -144,7 +153,7 @@ def reference_automorphisms(q):
     vertex of the same degrees and orbit length, checking every arrow."""
     verts = list(q.vertices)
     arrow_set = set(q.arrows)
-    outs = {v: sorted(q.arrows_out_of(v)) for v in verts}
+    outs = {v: sorted(w for u, w in arrow_set if u == v) for v in verts}
     ins = {v: [] for v in verts}
     for u, v in arrow_set:
         ins[v].append(u)
@@ -235,7 +244,7 @@ def test_anchored_search_finds_exactly_the_automorphisms(digraph):
     # off the quotients, anchoring alone does not force arrows onto arrows:
     # every permutation is tried and the arrow-preserving ones must match
     verts, arrows = digraph
-    q = dataclasses.replace(
+    q = with_quiver(
         quotient(parse_type("A:1/f=1/t=1")),
         vertices=verts,
         arrows=arrows,
@@ -253,7 +262,7 @@ def test_anchored_search_finds_exactly_the_automorphisms(digraph):
 def test_disconnected_quotient_is_reported():
     q = quotient(parse_type("A:3/f=1/t=2"))
     with pytest.raises(CoveringError, match="not connected"):
-        automorphisms(dataclasses.replace(q, arrows=()))
+        automorphisms(with_quiver(q, arrows=()))
 
 
 def test_cycle_rotations_present_for_a1():
