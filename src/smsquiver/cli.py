@@ -133,7 +133,7 @@ def cmd_classify(args, out) -> int:
                 }
             )
         print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
+        return 0 if ok else 1
     if not ok:
         print(f"invalid\t{diag}", file=out)
         return 1
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sms", help="list all simple-minded systems")
     p.add_argument("--algebra", type=_algebra_arg, required=True, help="nakayama:e:L")
-    p.add_argument("--bound", type=int, default=24)
+    p.add_argument("--bound", type=_positive_int_arg, default=24)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_sms)
 
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default="simples")
     p.add_argument("--dir", choices=("left", "right", "both"), default="left")
     p.add_argument("--allow-composite", action="store_true")
-    p.add_argument("--bound", type=int, default=24)
+    p.add_argument("--bound", type=_positive_int_arg, default=24)
     p.add_argument("--out", choices=("dot", "json"), default="dot")
     p.set_defaults(fn=cmd_quiver)
 

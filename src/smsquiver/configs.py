@@ -151,17 +151,13 @@ def in_single_orbit_list(t: RfsType) -> bool:
     return False
 
 
-def transitivity_list_check(
-    max_rank: int = 5,
-    max_s: int = 2,
-    vertex_budget: int = 40,
-    include_e: bool = False,
-) -> list[TransitivityRow]:
-    """Orbit counts over a capped grid of types, flagged against the
-    single-orbit families; the check passes when flags and counts agree."""
+def transitivity_list_check() -> list[TransitivityRow]:
+    """Orbit counts over the types of `_type_grid(5, 2, False)` whose
+    quotients have at most 40 vertices, flagged against the single-orbit
+    families; the check passes when flags and counts agree."""
     rows = []
-    for t in _type_grid(max_rank, max_s, include_e):
-        if t.graph.rank * int(t.frequency * (t.coxeter - 1)) > vertex_budget:
+    for t in _type_grid(5, 2, False):
+        if t.graph.rank * int(t.frequency * (t.coxeter - 1)) > 40:
             continue
         q = quotient(t)
         configs = enumerate_configurations(q)

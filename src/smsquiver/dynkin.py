@@ -121,12 +121,6 @@ class GraphAutomorphism(Value):
     def __call__(self, node: int) -> int:
         return self.mapping[node - 1]
 
-    def inverse(self) -> GraphAutomorphism:
-        inv = [0] * len(self.mapping)
-        for i, img in enumerate(self.mapping, start=1):
-            inv[img - 1] = i
-        return GraphAutomorphism(self.graph, tuple(inv))
-
     @property
     def order(self) -> int:
         k, perm, ident = 1, list(self.mapping), list(self.graph.nodes)

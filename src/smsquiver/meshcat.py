@@ -11,13 +11,14 @@ Two routes are provided and must agree:
   arrows minus the value at tau(v), clamped at zero).  Its clamping rule is
   validated against the oracle by the test suite, never assumed.
 
-Every table spans the band window [x0, x0 + 2h + 1] of its source x: homs
-vanish outside the h slices after x (`_assert_support_band`), so the window
-holds every nonzero hom, and a table stores only those.  By
+Every table is computed over the band window [x0, x0 + 2h + 1] of its
+source x: homs vanish outside the h slices after x (`_assert_support_band`),
+so the window holds every nonzero hom, and a table stores only those.  By
 tau-equivariance one fast table per node, computed once per process for
-the source (0, node), serves every level.  The arrows into each node, the
-node depths and the node set are looked up once per graph (`_steps`), and
-the window's vertex order once per node (`_band_order`).
+the source (0, node), serves every level.  The arrows into each node and
+the node depths come from the per-graph step table of ZQ
+(`ztquiver._steps`), and the window's vertex order is computed once per
+node (`_band_order`).
 
 Both tables visit the window by t-grade and end at the first empty one.
 Every arrow raises the t-grade by 1, so every path into v other than the
@@ -39,54 +40,33 @@ from functools import cache
 from .dynkin import DynkinGraph, coxeter_number
 from .linalg import SpanTracker
 from .values import Value
-from .ztquiver import StableTranslationQuiver, ZVert
+from .ztquiver import StableTranslationQuiver, ZVert, _steps
+
 
 class SupportBandError(AssertionError):
     """A nonzero hom appeared outside the expected support band."""
 
 
 class HomTable(Value):
-    """Dimensions of Hom(source, -) over a window of ZQ.
+    """Dimensions of Hom(source, -) on ZQ.
 
     `dims` holds the nonzero dimensions only; every other vertex has 0.
     """
 
-    __slots__ = ("graph", "source", "window", "dims")
+    __slots__ = ("graph", "source", "dims")
     graph: DynkinGraph
     source: ZVert
-    window: tuple[int, int]
     dims: dict
 
     def dim(self, target: ZVert) -> int:
         return self.dims.get(target, 0)
 
 
-class _Steps:
-    """Per-graph lookup tables of ZQ shared by every hom table."""
-
-    def __init__(self, graph: DynkinGraph):
-        ins: dict[int, list[tuple[int, int]]] = {q: [] for q in graph.nodes}
-        for i, j in graph.oriented_edges():
-            ins[j].append((0, i))
-            ins[i].append((-1, j))
-        # ins[node]: (level offset, node) of each arrow into (p, node), in
-        # the order of `arrows_in`
-        self.ins = {q: tuple(arrows) for q, arrows in ins.items()}
-        self.depth = {q: graph.depth(q) for q in graph.nodes}
-        self.nodes = frozenset(graph.nodes)
-
-
-_steps = cache(_Steps)
-
-
-def _window_for(graph: DynkinGraph, x: ZVert) -> tuple[int, int]:
-    return x[0], x[0] + 2 * coxeter_number(graph) + 1
-
-
 @cache
 def _band_order(graph: DynkinGraph, node: int) -> tuple[tuple[int, int, int], ...]:
-    """Band-window vertices of the source (0, node) not below its t-grade,
-    by (t-grade, vertex), as (t-grade - source t-grade, level, node).
+    """Vertices of the band window [0, 2h + 1] of the source (0, node) not
+    below its t-grade, by (t-grade, vertex), as (t-grade - source t-grade,
+    level, node).
 
     Shifting the source by s levels shifts every t-grade by 2s, so this
     order, shifted to the source's level, serves every source on `node`.
@@ -94,12 +74,11 @@ def _band_order(graph: DynkinGraph, node: int) -> tuple[tuple[int, int, int], ..
     the window reads as 0 without a membership test.
     """
     depth = _steps(graph).depth
-    lo, hi = _window_for(graph, (0, node))
     t0 = depth[node]
     return tuple(
         sorted(
             (2 * p + d - t0, p, q)
-            for p in range(lo, hi + 1)
+            for p in range(2 * coxeter_number(graph) + 2)
             for q, d in depth.items()
             if 2 * p + d >= t0
         )
@@ -155,7 +134,7 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
                 cols.append(tracker.quotient_coords(e))
             arrow_maps[(u, v)] = cols
 
-    table = HomTable(graph, source, _window_for(graph, source), dims)
+    table = HomTable(graph, source, dims)
     _assert_support_band(table)
     return table
 
@@ -177,7 +156,7 @@ def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
         if total > 0:
             dims[(p, q)] = total
             last = g
-    table = HomTable(graph, source, _window_for(graph, source), dims)
+    table = HomTable(graph, source, dims)
     _assert_support_band(table)
     return table
 
@@ -185,9 +164,9 @@ def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
 def _assert_support_band(table: HomTable) -> None:
     """Nonzero homs from the source lie on its nodes within h slices ahead."""
     h = coxeter_number(table.graph)
-    nodes = _steps(table.graph).nodes
+    depth = _steps(table.graph).depth
     for (p, q), d in table.dims.items():
-        if not (0 <= p - table.source[0] <= h and q in nodes):
+        if not (0 <= p - table.source[0] <= h and q in depth):
             raise SupportBandError(
                 f"hom({table.source},({p},{q})) = {d} outside the {h}-slice band"
             )

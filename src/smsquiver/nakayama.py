@@ -21,7 +21,7 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   tiers: a sound fixpoint closure under layer steps whose middle is one
   strand plus projectives proves membership, and hom-vanishing
   certificates prove non-membership; a query neither tier decides raises
-  GenerationUndecided (see _GenerationEngine);
+  GenerationUndecided (see NakayamaAlgebra._generated);
 * left mutation triangles are realized as pushouts in mod A followed by
   stripping projective summands; right mutation is left mutation
   conjugated by the duality D of N(e, L), D M(t, l) = M(-(t+l-1), l),
@@ -63,8 +63,8 @@ class SerialModule(Value):
     top: int
     length: int
 
-    # The generation engine builds, hashes and sorts millions of these, so
-    # the value methods are written out rather than inherited.
+    # Generation builds, hashes and sorts millions of these, so the value
+    # methods are written out rather than inherited.
     def __init__(self, top: int, length: int):
         _set(self, "top", top)
         _set(self, "length", length)
@@ -259,16 +259,13 @@ class NakayamaAlgebra:
 
     # --- generation -----------------------------------------------------
 
-    def generation_engine(self, system) -> "_GenerationEngine":
-        return _GenerationEngine(self, _canon(system))
-
     def ext_closure(self, mods) -> Multiset:
         """Indecomposables of the smallest extension-closed stable subcategory."""
         mods = _canon(set(mods))
         if not mods:
             return ()
-        engine = self.generation_engine(mods)
-        return _canon(y for y in self.indecomposables() if engine.generated(y))
+        ind = self.indecomposables()
+        return _canon(y for y, ok in zip(ind, self._generated(mods, ind)) if ok)
 
     def is_sms(self, mods) -> bool:
         """Orthogonality plus the layered generation condition."""
@@ -277,15 +274,68 @@ class NakayamaAlgebra:
         if cached is not None:
             return cached
         ok, _ = self.is_orthogonal_system(mods)
-        result = False
-        if ok:
-            engine = self.generation_engine(mods)
-            members = set(mods)
-            result = all(
-                y in members or engine.generated(y) for y in self.indecomposables()
-            )
+        result = ok and all(self._generated(mods, self.indecomposables()))
         self._sms_cache[mods] = result
         return result
+
+    def _single_strand_closure(self, system: Multiset) -> frozenset:
+        """Fixpoint of layer steps whose middle is one strand plus projectives.
+
+        Sub-objects run over one- and two-part multisets from the closure,
+        quotients over single system members; every such step is literally
+        a generation step, so membership here is sound.  The steps are
+        monotone in the closure, so a worklist reaches the same least
+        fixpoint as repeated full passes: each member is taken once and
+        tried only in the sub-objects that contain it, paired with itself
+        and the members taken before it.
+        """
+        closure = set(system)
+        work = list(system)
+        taken: list[SerialModule] = []
+        while work:
+            x = work.pop()
+            taken.append(x)
+            for sub in [(x,)] + [_canon((x, y)) for y in taken]:
+                for z in system:
+                    for middle in self.extension_middles(sub, z):
+                        strands = self._strip_projectives(middle)
+                        if len(strands) == 1 and strands[0] not in closure:
+                            closure.add(strands[0])
+                            work.append(strands[0])
+        return frozenset(closure)
+
+    def _generated(self, system: Multiset, ys):
+        """Yield, for each y of ys in turn, whether the system generates y.
+
+        Two tiers decide, fastest first: the single-strand closure proves
+        membership, and hom-vanishing certificates prove non-membership
+        (stable homs out of or into the system are subadditive along
+        triangles, so a nonzero stable hom between y and the system's
+        two-sided vanishing sets rules y out).  The vanishing sets are
+        computed at the first y outside the closure.  A y that neither
+        tier decides raises GenerationUndecided rather than guessing.
+        """
+        closure = self._single_strand_closure(system)
+        vanish_out = vanish_in = None
+        for y in ys:
+            if y in closure:
+                yield True
+                continue
+            if vanish_out is None:
+                ind = self.indecomposables()
+                vanish_out = frozenset(
+                    w for w in ind if all(self.stable_hom_dim(s, w) == 0 for s in system)
+                )
+                vanish_in = frozenset(
+                    w for w in ind if all(self.stable_hom_dim(w, s) == 0 for s in system)
+                )
+            if not any(self.stable_hom_dim(y, w) for w in vanish_out) and not any(
+                self.stable_hom_dim(w, y) for w in vanish_in
+            ):
+                raise GenerationUndecided(
+                    f"cannot decide whether {y} is generated by {[str(m) for m in system]}"
+                )
+            yield False
 
     def all_sms(self, bound: int = 24) -> list[Multiset]:
         """All simple-minded systems, by orthogonal-clique search + generation."""
@@ -330,8 +380,9 @@ class NakayamaAlgebra:
 
     # --- approximations and mutation ------------------------------------
 
-    def minimal_left_approximation(self, m: SerialModule, subcat) -> "Approximation":
-        """Minimal left add(subcat)-approximation of m in the stable category.
+    def minimal_left_approximation(self, m: SerialModule, subcat) -> tuple:
+        """Minimal left add(subcat)-approximation of m in the stable category,
+        as its sorted copies (summand t, depth d of the basis map m -> t).
 
         The stable basis maps m -> t, t in subcat, are the candidate copies
         (t, d).  A copy (u, c) maps onto the copy (t, d) when phi_d factors
@@ -350,20 +401,18 @@ class NakayamaAlgebra:
                 (u, c) != (t, d) and d - c in self.hom_depths(u, t) for u, c in copies
             )
         ]
-        return Approximation(m, tuple(sorted(minimal)))
+        return tuple(sorted(minimal))
 
-    def minimal_right_approximation(self, m: SerialModule, subcat) -> "Approximation":
-        """Minimal right add(subcat)-approximation of m: D of the left one of D m.
+    def minimal_right_approximation(self, m: SerialModule, subcat) -> tuple:
+        """Minimal right add(subcat)-approximation of m: D of the left one of D m,
+        as its sorted copies (summand u, depth of the image of u in m).
 
         D turns phi_j : D m -> D u into a map u -> m whose image is the
         bottom length(u) - j layers of m, so its depth in m is
         length(m) - length(u) + j.
         """
         left = self.minimal_left_approximation(self.dual(m), self._dual_all(subcat))
-        return Approximation(
-            m,
-            tuple(sorted((self.dual(u), m.length - u.length + j) for u, j in left.copies)),
-        )
+        return tuple(sorted((self.dual(u), m.length - u.length + j) for u, j in left))
 
     def _strip_projectives(self, mods: Multiset) -> Multiset:
         return _canon(m for m in mods if not self.is_projective(m))
@@ -407,7 +456,7 @@ class NakayamaAlgebra:
             )
         return nonproj[0]
 
-    def extension_middles(self, sub: Multiset | SerialModule, quot: SerialModule) -> tuple[Multiset, ...]:
+    def extension_middles(self, sub: Multiset, quot: SerialModule) -> tuple[Multiset, ...]:
         """Middles of all non-split stable extensions of `quot` by `sub`.
 
         Classes in Ext^1(quot, sub) = stable Hom(Omega quot, sub) reduce,
@@ -415,8 +464,6 @@ class NakayamaAlgebra:
         maps from the stable bases; one pushout per depth vector lists
         every middle.
         """
-        if isinstance(sub, SerialModule):
-            sub = (sub,)
         key = (_canon(sub), quot)
         cached = self._middles_cache.get(key)
         if cached is None:
@@ -461,11 +508,11 @@ class NakayamaAlgebra:
             if m in subset:
                 out.append(self.omega_inv(m))
                 continue
-            appr = self.minimal_left_approximation(self.omega(m), closure)
-            if not appr.copies:
+            copies = self.minimal_left_approximation(self.omega(m), closure)
+            if not copies:
                 out.append(m)  # zero approximation: cone is Omega^{-1}Omega(m)
             else:
-                out.append(self._sole_nonprojective(self._pushout_middle(m, appr.copies)))
+                out.append(self._sole_nonprojective(self._pushout_middle(m, copies)))
         return _canon(out)
 
     def mutate_right(self, system, subset) -> Multiset:
@@ -497,101 +544,6 @@ class NakayamaAlgebra:
 
     def render_factors(self, m: SerialModule) -> str:
         return "/".join(str(c) for c in self.factors(m))
-
-
-class Approximation(Value):
-    """A stacked stable map between a module and add of a subcategory.
-
-    `copies` lists (summand, depth of the chosen basis map); the stacked
-    map is a minimal left or right approximation of `module`.
-    """
-
-    __slots__ = ("module", "copies")
-    module: SerialModule
-    copies: tuple
-
-    @property
-    def summands(self) -> Multiset:
-        return _canon(t for t, _ in self.copies)
-
-
-class _GenerationEngine:
-    """Decides generation of indecomposables from a fixed system.
-
-    Two tiers, fastest first:
-
-    1. a sound fixpoint closure under single extensions whose middles are
-       one non-projective strand plus projectives (each step is literally
-       a layer step of the generation condition), which proves membership;
-    2. hom-vanishing certificates: stable homs out of or into the system
-       are subadditive along triangles, so a nonzero stable hom between Y
-       and the system's two-sided vanishing sets rules Y out.
-
-    A query that neither tier decides raises GenerationUndecided rather
-    than guessing.  Extension middles are cached on the algebra and shared
-    between systems and candidates.
-    """
-
-    def __init__(self, algebra: NakayamaAlgebra, system: Multiset):
-        self.algebra = algebra
-        self.system = system
-        self._closure: frozenset | None = None
-        self._vanish_out: frozenset | None = None
-        self._vanish_in: frozenset | None = None
-
-    def generated(self, y: SerialModule) -> bool:
-        if y in self.system or y in self._single_strand_closure():
-            return True
-        if self._certified_out(y):
-            return False
-        raise GenerationUndecided(
-            f"cannot decide whether {y} is generated by "
-            f"{[str(m) for m in self.system]}"
-        )
-
-    def _single_strand_closure(self) -> frozenset:
-        """Fixpoint of layer steps whose middle is one strand plus projectives.
-
-        Sub-objects run over one- and two-part multisets from the closure,
-        quotients over single system members; every such step is literally
-        a generation step, so membership here is sound.  The steps are
-        monotone in the closure, so a worklist reaches the same least
-        fixpoint as repeated full passes: each member is taken once and
-        tried only in the sub-objects that contain it, paired with itself
-        and the members taken before it.
-        """
-        if self._closure is None:
-            A = self.algebra
-            closure = set(self.system)
-            work = list(self.system)
-            taken: list[SerialModule] = []
-            while work:
-                x = work.pop()
-                taken.append(x)
-                for sub in [(x,)] + [_canon((x, y)) for y in taken]:
-                    for z in self.system:
-                        for middle in A.extension_middles(sub, z):
-                            strands = A._strip_projectives(middle)
-                            if len(strands) == 1 and strands[0] not in closure:
-                                closure.add(strands[0])
-                                work.append(strands[0])
-            self._closure = frozenset(closure)
-        return self._closure
-
-    def _certified_out(self, y: SerialModule) -> bool:
-        """Nonzero stable hom against a vanishing set of the system."""
-        A = self.algebra
-        if self._vanish_out is None:
-            ind = A.indecomposables()
-            self._vanish_out = frozenset(
-                w for w in ind if all(A.stable_hom_dim(s, w) == 0 for s in self.system)
-            )
-            self._vanish_in = frozenset(
-                w for w in ind if all(A.stable_hom_dim(w, s) == 0 for s in self.system)
-            )
-        return any(A.stable_hom_dim(y, w) for w in self._vanish_out) or any(
-            A.stable_hom_dim(w, y) for w in self._vanish_in
-        )
 
 
 def parse_algebra(text: str) -> NakayamaAlgebra:

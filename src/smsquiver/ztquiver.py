@@ -9,11 +9,18 @@ A quotient is taken by the deck group generated by g = zeta* tau^{-r},
 where zeta* is the level-corrected lift of a tree automorphism: it sends
 (p, q) to (p + (depth(q) - depth(zeta q))/2, zeta q), which is the unique
 grading-preserving lift.
+
+Arrows and deck translates are read from tables built once: the arrows
+into and out of each node (`_steps`, per graph, shared with the hom tables
+of `meshcat`) and the points g^k(0, q) of each node's deck orbit
+(`_deck_orbits`, per quotient).  So `deck` is a `divmod` lookup for any
+power, negative ones included, and `canonical` a `min` over one orbit.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from .dynkin import DynkinGraph, GraphAutomorphism, RfsType, admissible_group
 from .values import Value
@@ -29,26 +36,30 @@ class MeshSymmetryError(RuntimeError):
     """A built quotient is not a stable translation quiver."""
 
 
-def arrows_out(graph: DynkinGraph, v: ZVert) -> list[ZVert]:
-    p, q = v
-    out = []
-    for i, j in graph.oriented_edges():
-        if i == q:
-            out.append((p, j))
-        if j == q:
-            out.append((p + 1, i))
-    return out
+class _Steps:
+    """Per-graph lookup tables of ZQ, shared by the quotients and the hom tables.
+
+    `ins[q]` and `outs[q]` list the arrows into and out of (p, q) as
+    (level offset, node), in the order of the oriented edges; `depth[q]`
+    is the depth of node q, and its keys are the nodes.
+    """
+
+    __slots__ = ("ins", "outs", "depth")
+
+    def __init__(self, graph: DynkinGraph):
+        ins: dict[int, list[tuple[int, int]]] = {q: [] for q in graph.nodes}
+        outs: dict[int, list[tuple[int, int]]] = {q: [] for q in graph.nodes}
+        for i, j in graph.oriented_edges():
+            ins[j].append((0, i))
+            ins[i].append((-1, j))
+            outs[i].append((0, j))
+            outs[j].append((1, i))
+        self.ins = {q: tuple(arrows) for q, arrows in ins.items()}
+        self.outs = {q: tuple(arrows) for q, arrows in outs.items()}
+        self.depth = {q: graph.depth(q) for q in graph.nodes}
 
 
-def arrows_in(graph: DynkinGraph, v: ZVert) -> list[ZVert]:
-    p, q = v
-    ins = []
-    for i, j in graph.oriented_edges():
-        if j == q:
-            ins.append((p, i))
-        if i == q:
-            ins.append((p - 1, j))
-    return ins
+_steps = cache(_Steps)
 
 
 def t_grade(graph: DynkinGraph, v: ZVert) -> int:
@@ -76,11 +87,38 @@ class Window(Value):
         )
 
 
-def zeta_level_shift(graph: DynkinGraph, zeta: GraphAutomorphism, node: int) -> int:
-    d = graph.depth(node) - graph.depth(zeta(node))
-    if d % 2:
-        raise ValueError(f"automorphism has no grading-preserving lift at node {node}")
-    return d // 2
+@cache
+def _deck_orbits(family: str, mapping: tuple[int, ...], r: int) -> dict:
+    """The deck table of g = zeta* tau^{-r}, where zeta maps node i to
+    mapping[i-1] on the tree `family` of rank len(mapping).
+
+    For each node q it holds the pair (m*r, points), where m is the length
+    of q's zeta-orbit and points[k] = g^k(0, q) for k < m.  The level shifts
+    of zeta* telescope to zero around an orbit, so g^m moves every vertex
+    on q by exactly m*r levels.  The key is made of plain tuples and ints,
+    so a lookup hashes no value class.
+    """
+    depth = _steps(DynkinGraph(family, len(mapping))).depth
+    table = {}
+    for q in depth:
+        points, p, node = [], 0, q
+        while not points or node != q:
+            points.append((p, node))
+            image = mapping[node - 1]
+            shift = depth[node] - depth[image]
+            if shift % 2:
+                raise CoveringError(f"automorphism has no grading-preserving lift at node {node}")
+            p += r + shift // 2
+            node = image
+        table[q] = (len(points) * r, tuple(points))
+    return table
+
+
+def _project(orbits: dict, v: ZVert) -> ZVert:
+    """The canonical representative of v's deck orbit (see `canonical`)."""
+    p, q = v
+    period, points = orbits[q]
+    return min([((p + dp) % period, node) for dp, node in points])
 
 
 class StableTranslationQuiver(Value):
@@ -89,7 +127,8 @@ class StableTranslationQuiver(Value):
     Canonical representatives: within each deck orbit, levels are first
     normalized into [0, m*r) where m is the zeta-orbit length of the node,
     then the lexicographically least (p, q) is chosen.  The chosen lift of
-    each vertex is the vertex itself (the identity section).
+    each vertex is the vertex itself (the identity section).  Both `deck`
+    and `canonical` read the deck table (`_deck_orbits`).
     """
 
     __slots__ = ("rfs_type", "r", "zeta", "vertices", "arrows", "tau")
@@ -100,44 +139,24 @@ class StableTranslationQuiver(Value):
     arrows: tuple[tuple[ZVert, ZVert], ...]
     tau: dict
 
+    def _orbits(self) -> dict:
+        zeta = self.zeta
+        return _deck_orbits(zeta.graph.family, zeta.mapping, self.r)
+
     @property
     def graph(self) -> DynkinGraph:
         return self.rfs_type.graph
 
     def deck(self, v: ZVert, power: int = 1) -> ZVert:
-        """Apply g^power with g = zeta* tau^{-r} to a ZQ vertex."""
-        g, zeta, r = self.graph, self.zeta, self.r
+        """Apply g^power with g = zeta* tau^{-r} to a ZQ vertex; power may be negative."""
         p, q = v
-        if power >= 0:
-            for _ in range(power):
-                p += r
-                p += zeta_level_shift(g, zeta, q)
-                q = zeta(q)
-        else:
-            inv = zeta.inverse()
-            for _ in range(-power):
-                q = inv(q)
-                p -= zeta_level_shift(g, zeta, q)
-                p -= r
-        return (p, q)
-
-    def _node_orbit_len(self, q: int) -> int:
-        k, cur = 1, self.zeta(q)
-        while cur != q:
-            cur = self.zeta(cur)
-            k += 1
-        return k
+        period, points = self._orbits()[q]
+        k, j = divmod(power, len(points))
+        dp, node = points[j]
+        return (p + dp + k * period, node)
 
     def canonical(self, v: ZVert) -> ZVert:
-        m = self._node_orbit_len(v[1])
-        period = m * self.r
-        cands = []
-        w = v
-        for _ in range(m):
-            p, q = w
-            cands.append((p % period, q))
-            w = self.deck(w)
-        return min(cands)
+        return _project(self._orbits(), v)
 
     def lift(self, v: ZVert, copies: int) -> list[ZVert]:
         """The first `copies` preimages of v under the covering, ascending by level."""
@@ -176,28 +195,22 @@ def quotient(t: RfsType) -> StableTranslationQuiver:
     """Build the stable translation quiver ZQ / <zeta tau^{-r}> of a valid type."""
     r, zeta = admissible_group(t)
     graph = t.graph
-    q = StableTranslationQuiver(t, r, zeta, (), (), {})  # bootstrap for deck/canonical
-
-    seen: set[ZVert] = set()
-    verts: list[ZVert] = []
-    for node in graph.nodes:
-        m = q._node_orbit_len(node)
-        for p in range(m * r):
-            c = q.canonical((p, node))
-            if c not in seen:
-                seen.add(c)
-                verts.append(c)
-    verts.sort()
+    orbits = _deck_orbits(graph.family, zeta.mapping, r)
+    verts = sorted(
+        {_project(orbits, (p, q)) for q, (period, _) in orbits.items() for p in range(period)}
+    )
     if len(verts) != graph.rank * r:
         raise CoveringError(f"{t}: {len(verts)} vertices, expected {graph.rank * r}")
 
+    outs = _steps(graph).outs
     arrows = []
     for v in verts:
-        outs = [q.canonical(w) for w in arrows_out(graph, v)]
-        if len(set(outs)) != len(outs):
+        p, q = v
+        heads = [_project(orbits, (p + dp, n)) for dp, n in outs[q]]
+        if len(set(heads)) != len(heads):
             raise CoveringError(f"{t}: arrows out of {v} collide in the quotient")
-        arrows.extend((v, w) for w in outs)
-    tau = {v: q.canonical((v[0] - 1, v[1])) for v in verts}
+        arrows.extend((v, w) for w in heads)
+    tau = {v: _project(orbits, (v[0] - 1, v[1])) for v in verts}
 
     built = StableTranslationQuiver(t, r, zeta, tuple(verts), tuple(sorted(arrows)), tau)
     _check_mesh_symmetry(built)

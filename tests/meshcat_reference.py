@@ -6,12 +6,38 @@ window [x0, x0 + 2h + 1] not below its t-grade is visited in (t-grade,
 vertex) order, sorted afresh for each source, and the oracle ranks with
 `FractionSpanTracker`, which turns every row into Fractions.  Both return
 the nonzero dimensions as a dict, in the order they were found.
+
+`arrows_in` and `arrows_out` list the arrows of ZQ at a vertex by a loop
+over the oriented tree edges; they are the reference for the per-graph
+step table `ztquiver._steps`.
 """
 
 from linalg_reference import FractionSpanTracker
 
 from smsquiver.dynkin import coxeter_number
-from smsquiver.ztquiver import arrows_in, t_grade
+from smsquiver.ztquiver import t_grade
+
+
+def arrows_out(graph, v):
+    p, q = v
+    out = []
+    for i, j in graph.oriented_edges():
+        if i == q:
+            out.append((p, j))
+        if j == q:
+            out.append((p + 1, i))
+    return out
+
+
+def arrows_in(graph, v):
+    p, q = v
+    ins = []
+    for i, j in graph.oriented_edges():
+        if j == q:
+            ins.append((p, i))
+        if i == q:
+            ins.append((p - 1, j))
+    return ins
 
 
 def band_vertices(graph, source):

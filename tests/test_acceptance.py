@@ -64,7 +64,7 @@ def perturbed(table_fn, source, targets):
         if str(graph) != "A3" or x != source:
             return table
         dims = {**table.dims, **{y: table.dim(y) + 1 for y in targets}}
-        return HomTable(table.graph, table.source, table.window, dims)
+        return HomTable(table.graph, table.source, dims)
 
     return wrapped
 

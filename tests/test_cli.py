@@ -33,6 +33,18 @@ def test_classify_invalid_exits_nonzero():
     assert out.startswith("invalid")
 
 
+def test_classify_invalid_type_exits_one_in_both_formats():
+    # a well-formed string naming no RFS type is a computation error: the
+    # report is printed, then the exit code is 1 whatever the format
+    code, out = run_cli("classify", "E:7/f=1/t=2", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert payload["diagnostic"] == "among E-types only E6 has torsion 2"
+    code, out = run_cli("classify", "E:7/f=1/t=2", "--format", "tsv")
+    assert (code, out) == (1, "invalid\tamong E-types only E6 has torsion 2\n")
+
+
 def test_classify_json_schema():
     code, out = run_cli("classify", "D:6/f=1/3/t=1", "--format", "json")
     payload = json.loads(out)
@@ -196,6 +208,12 @@ def test_python_dash_m_entry_point():
         proc = run("brauer", *option.split())
         assert proc.returncode == 2, option
         assert f"argument {option.split()[-2]}" in proc.stderr
+    # a bound below 1 is an argument error, not a bound the search exceeds
+    for command in ("sms", "quiver"):
+        for text in ("0", "-3", "x"):
+            proc = run(command, "--algebra", "nakayama:3:4", "--bound", text)
+            assert proc.returncode == 2, (command, text)
+            assert "argument --bound" in proc.stderr
     # well formed but over the bound: a computation error, not an argument error
     proc = run("sms", "--algebra", "nakayama:6:6")
     assert proc.returncode == 1

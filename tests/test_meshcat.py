@@ -13,7 +13,13 @@ t-grade and keep integer rows.
 """
 
 import pytest
-from meshcat_reference import band_vertices, reference_fast_dims, reference_oracle_dims
+from meshcat_reference import (
+    arrows_in,
+    arrows_out,
+    band_vertices,
+    reference_fast_dims,
+    reference_oracle_dims,
+)
 
 from smsquiver.configs import _type_grid
 from smsquiver.dynkin import DynkinGraph, coxeter_number, parse_type
@@ -24,7 +30,6 @@ from smsquiver.meshcat import (
     _assert_support_band,
     _band_order,
     _node_table,
-    _steps,
     fast_table,
     hom_dim_fast,
     hom_dim_oracle,
@@ -32,14 +37,7 @@ from smsquiver.meshcat import (
     quotient_hom_dim,
     quotient_hom_table,
 )
-from smsquiver.ztquiver import (
-    Window,
-    arrows_in,
-    arrows_out,
-    automorphisms,
-    quotient,
-    t_grade,
-)
+from smsquiver.ztquiver import Window, _steps, automorphisms, quotient, t_grade
 
 # every type of the transitivity grid, plus E6 with and without torsion
 GRID_TYPES = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
@@ -124,11 +122,11 @@ def test_support_band_and_window_guard():
     h = coxeter_number(graph)
     table = oracle_table(graph, (0, 2))
     assert all(p - 0 <= h for p, q in table.dims)
-    # tables no longer take a window, so none can be too small: the fixed
-    # window starts at the source and reaches past its h-slice band
-    for x in [(0, 2), (5, 1), (-3, 3)]:
-        for t in (oracle_table(graph, x), fast_table(graph, x)):
-            assert t.window[0] == x[0] and t.window[1] > x[0] + h
+    # tables take no window, so none can be too small: the fixed window
+    # starts at the source and reaches past its h-slice band
+    for q in graph.nodes:
+        levels = {p for _, p, _ in _band_order(graph, q)}
+        assert min(levels) == 0 and max(levels) > h
 
 
 @pytest.mark.parametrize("entry", [[40, 3, 7], [-1, 3, 1], [2, 9, 1]])
@@ -139,7 +137,7 @@ def test_out_of_band_cache_entry_is_a_miss(entry):
     expected = quotient_hom_table(q)
     good = _node_table(q.graph, 3)
     p, node, d = entry
-    bad = HomTable(q.graph, good.source, good.window, {**good.dims, (p, node): d})
+    bad = HomTable(q.graph, good.source, {**good.dims, (p, node): d})
     with pytest.raises(SupportBandError):
         _assert_support_band(bad)
     assert _node_table(q.graph, 3).dims == fast_table(q.graph, (0, 3)).dims
@@ -157,19 +155,22 @@ def test_fast_equals_oracle_off_acceptance_sizes():
 
 
 def test_step_tables_match_the_quiver():
-    # the per-graph tables give the arrows into each vertex in the order of
-    # arrows_in, and the band's vertices, shifted to the source's level, in
-    # the order of a window scan
+    # the per-graph tables give the arrows into and out of each vertex in
+    # the order of the edge-loop references arrows_in and arrows_out, and
+    # the band's vertices, shifted to the source's level, in the order of a
+    # window scan
     for family, rank in ALL_GRAPHS:
         graph = DynkinGraph(family, rank)
         steps = _steps(graph)
-        assert steps.nodes == set(graph.nodes)
+        assert list(steps.depth) == list(graph.nodes)
         h = coxeter_number(graph)
         for q in graph.nodes:
             assert steps.depth[q] == graph.depth(q)
             for p in (-3, 0, 7):
                 ins = [(p + dp, n) for dp, n in steps.ins[q]]
                 assert ins == arrows_in(graph, (p, q))
+                outs = [(p + dp, n) for dp, n in steps.outs[q]]
+                assert outs == arrows_out(graph, (p, q))
             source = (5, q)
             window = Window(graph, 5, 5 + 2 * h + 1)
             start = t_grade(graph, source)

@@ -16,7 +16,7 @@ from smsquiver.configs import Orbit, TransitivityRow
 from smsquiver.dynkin import DynkinGraph, GraphAutomorphism, InvalidTypeError, RfsType, parse_type
 from smsquiver.meshcat import HomTable, oracle_table
 from smsquiver.mutation import MutationQuiver
-from smsquiver.nakayama import Approximation, SerialModule
+from smsquiver.nakayama import SerialModule
 from smsquiver.values import Value
 from smsquiver.ztquiver import StableTranslationQuiver, Window, quotient
 
@@ -44,8 +44,7 @@ CASES = [
     ),
     (
         oracle_table(DynkinGraph("A", 1), (0, 1)),
-        "HomTable(graph=DynkinGraph(family='A', rank=1), source=(0, 1), window=(0, 5), "
-        "dims={(0, 1): 1})",
+        "HomTable(graph=DynkinGraph(family='A', rank=1), source=(0, 1), dims={(0, 1): 1})",
     ),
     (
         Orbit(((0, 1),), 1, (((0, 1),),)),
@@ -57,11 +56,6 @@ CASES = [
         "single_orbit=True, listed=True)",
     ),
     (SerialModule(2, 3), "SerialModule(top=2, length=3)"),
-    (
-        Approximation(SerialModule(1, 2), ((SerialModule(2, 1), 0),)),
-        "Approximation(module=SerialModule(top=1, length=2), "
-        "copies=((SerialModule(top=2, length=1), 0),))",
-    ),
     (
         MutationQuiver((2, 3), ((SerialModule(1, 1), SerialModule(2, 1)),), ()),
         "MutationQuiver(algebra_key=(2, 3), vertices=((SerialModule(top=1, length=1), "

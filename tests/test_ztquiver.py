@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from meshcat_reference import arrows_in, arrows_out
 
 from smsquiver.configs import _type_grid
 from smsquiver.dynkin import DynkinGraph, parse_type
@@ -13,8 +14,6 @@ from smsquiver.ztquiver import (
     StableTranslationQuiver,
     Window,
     _check_mesh_symmetry,
-    arrows_in,
-    arrows_out,
     automorphisms,
     quotient,
     t_grade,
@@ -109,6 +108,47 @@ def test_lift_project_round_trip():
         for a, b in zip(lifts, lifts[1:]):
             assert q.deck(a) == b  # consecutive lifts differ by the deck generator
             assert q.canonical(b) == v
+
+
+# every type of the transitivity grid, whose torsion-3 rotation D4 t=3 moves
+# nodes between depths, plus the E6 flip, which shifts levels by up to 2
+DECK_TYPES = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=2"]
+
+
+def step_deck(q, v, power):
+    """g^power by single steps of g = zeta* tau^{-r}, backwards through g^-1."""
+    depth = q.graph.depth
+    p, n = v
+    for _ in range(power):
+        p, n = p + q.r + (depth(n) - depth(q.zeta(n))) // 2, q.zeta(n)
+    for _ in range(-power):
+        n = q.zeta.mapping.index(n) + 1
+        p -= q.r + (depth(n) - depth(q.zeta(n))) // 2
+    return (p, n)
+
+
+@st.composite
+def deck_cases(draw):
+    """A quotient, a vertex of ZQ on any level, its node's zeta-orbit
+    length m and two powers in [-2m, 2m]."""
+    q = quotient(parse_type(draw(st.sampled_from(DECK_TYPES))))
+    v = (draw(st.integers(-50, 50)), draw(st.sampled_from(q.graph.nodes)))
+    m, n = 1, q.zeta(v[1])
+    while n != v[1]:
+        m, n = m + 1, q.zeta(n)
+    powers = st.integers(-2 * m, 2 * m)
+    return q, v, m, draw(powers), draw(powers)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(deck_cases())
+def test_closed_form_deck_laws(case):
+    q, v, m, a, b = case
+    assert q.deck(q.deck(v, a), b) == q.deck(v, a + b)
+    assert q.deck(v, m) == (v[0] + m * q.r, v[1])
+    assert q.deck(v, a) == step_deck(q, v, a)
+    assert q.canonical(q.deck(v, a)) == q.canonical(v) in q.vertices
+    assert q.deck(v, 0) == v
 
 
 def test_lifted_configurations_are_deck_stable():
