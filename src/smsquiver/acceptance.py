@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import gcd
 
 from .brauer import count_brauer_trees
 from .configs import enumerate_configurations, orbit_decomposition
-from .dynkin import DynkinGraph, RfsType, parse_type, validate_rfs_type
+from .dynkin import DynkinGraph, RfsType, coxeter_number, parse_type, validate_rfs_type
 from .meshcat import fast_table, oracle_table
 from .mutation import build_mutation_quiver
 from .nakayama import NakayamaAlgebra, SerialModule
@@ -228,8 +229,6 @@ MESH_GRAPHS = (("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("E",
 
 def criterion_9() -> tuple[bool, str]:
     """Mesh oracle agreement, translation equivariance, support band."""
-    from .dynkin import coxeter_number
-
     pairs = 0
     for family, rank in MESH_GRAPHS:
         graph = DynkinGraph(family, rank)
@@ -278,8 +277,7 @@ def criterion_10() -> tuple[bool, str]:
     for text, _ in ORBIT_CASES:
         t = parse_type(text)
         q = quotient(t)
-        n = t.graph.rank
-        period = n if t.graph.family == "A" else 2 * n - 3
+        period = t.coxeter - 1  # Riedtmann's m_Delta = h - 1
         for config in enumerate_configurations(q):
             members = set(config)
             for v in config:
@@ -289,8 +287,6 @@ def criterion_10() -> tuple[bool, str]:
     for s in (1, 2, 3, 4, 6):
         t = RfsType(DynkinGraph("A", 4), Fraction(s, 4), 1)
         counts[s] = len(enumerate_configurations(quotient(t)))
-    from math import gcd
-
     for a in counts:
         for b in counts:
             if (gcd(a, 4) == gcd(b, 4)) != (counts[a] == counts[b]):

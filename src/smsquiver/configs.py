@@ -189,10 +189,7 @@ def _type_grid(max_rank: int, max_s: int, include_e: bool):
         for tor in (1, 2, 3):
             for den in (1, 3):
                 for s in range(1, max_s + 1):
-                    try:
-                        t = RfsType(DynkinGraph("D", rank), Fraction(s, den), tor)
-                    except Exception:
-                        continue
+                    t = RfsType(DynkinGraph("D", rank), Fraction(s, den), tor)
                     if validate_rfs_type(t)[0]:
                         yield t
     if include_e:

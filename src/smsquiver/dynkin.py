@@ -19,6 +19,12 @@ same triple (and the same quiver combinatorics) and are tracked with a
 Node numbering: A_n is the path 1..n; D_n has spine 1..n-2 and fork tips
 n-1, n attached to n-2; E_6/E_7/E_8 use Bourbaki numbering (node 2 hangs
 off node 4).
+
+The automorphisms of each tree are written once, in `tree_automorphisms`:
+the path flip on A_n, the fork-tip swap on D_n, all of S3 on the outer arms
+of D4 and the flip on E6.  The deck group of a type takes as zeta the first
+of them, in sorted order, whose order is the torsion; the quotient's
+automorphisms are lifted from the same table (`ztquiver.automorphisms`).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import permutations
 
 from .values import Value
 
@@ -130,31 +137,23 @@ class GraphAutomorphism(Value):
         return k
 
 
-def identity_automorphism(graph: DynkinGraph) -> GraphAutomorphism:
-    return GraphAutomorphism(graph, graph.nodes)
+def tree_automorphisms(graph: DynkinGraph) -> list[GraphAutomorphism]:
+    """Every automorphism of the tree, sorted by mapping (identity first).
 
-
-def order2_automorphism(graph: DynkinGraph) -> GraphAutomorphism:
-    """The canonical arm swap: A-path flip, D fork-tip swap, E6 flip."""
-    n = graph.rank
+    The path flip on A_n; the fork-tip swap on D_n; on D4 all of S3 on the
+    outer arms 1, 3, 4; the flip on E6; nothing but the identity on E7, E8.
+    """
+    n, nodes = graph.rank, graph.nodes
+    mappings = {nodes}
     if graph.family == "A":
-        if n % 2 == 0 or n == 1:
-            raise InvalidTypeError(f"A{n} has no usable order-2 automorphism")
-        return GraphAutomorphism(graph, tuple(n + 1 - i for i in graph.nodes))
-    if graph.family == "D":
-        m = list(graph.nodes)
-        m[n - 2], m[n - 1] = n, n - 1
-        return GraphAutomorphism(graph, tuple(m))
-    if n == 6:
-        return GraphAutomorphism(graph, (6, 2, 5, 4, 3, 1))
-    raise InvalidTypeError(f"E{n} has no nontrivial automorphism")
-
-
-def order3_automorphism(graph: DynkinGraph) -> GraphAutomorphism:
-    """The rotation of the three outer D4 arms: 1 -> 3 -> 4 -> 1."""
-    if (graph.family, graph.rank) != ("D", 4):
-        raise InvalidTypeError("order-3 torsion only exists on D4")
-    return GraphAutomorphism(graph, (3, 2, 4, 1))
+        mappings.add(nodes[::-1])
+    elif graph.family == "D":
+        mappings.add(nodes[:-2] + (n, n - 1))
+        if n == 4:
+            mappings.update((a, 2, b, c) for a, b, c in permutations((1, 3, 4)))
+    elif n == 6:
+        mappings.add((6, 2, 5, 4, 3, 1))
+    return [GraphAutomorphism(graph, m) for m in sorted(mappings)]
 
 
 class RfsType(Value):
@@ -290,21 +289,19 @@ def is_symmetric_type(t: RfsType) -> bool:
 
 
 def admissible_group(t: RfsType) -> tuple[int, GraphAutomorphism]:
-    """Deck-group data (r, zeta) with the group generated by zeta * tau^{-r}."""
+    """Deck-group data (r, zeta) with the group generated by zeta * tau^{-r}.
+
+    zeta is the first tree automorphism of order t (`tree_automorphisms`).
+    """
     ok, diag = validate_rfs_type(t)
     if not ok:
         raise InvalidTypeError(f"{t}: {diag}")
     r = t.frequency * (coxeter_number(t.graph) - 1)
     if r.denominator != 1 or r <= 0:
         raise RfsInvariantError(f"{t}: r = {r} is not a positive integer")
-    if t.torsion == 1:
-        zeta = identity_automorphism(t.graph)
-    elif t.torsion == 2:
-        zeta = order2_automorphism(t.graph)
-    else:
-        zeta = order3_automorphism(t.graph)
-    if zeta.order != t.torsion:
-        raise RfsInvariantError(f"{t}: zeta has order {zeta.order}")
+    zeta = next((s for s in tree_automorphisms(t.graph) if s.order == t.torsion), None)
+    if zeta is None:
+        raise RfsInvariantError(f"{t}: the tree has no automorphism of order {t.torsion}")
     return int(r), zeta
 
 

@@ -12,7 +12,7 @@ Two routes are provided and must agree:
   validated against the oracle by the test suite, never assumed.
 
 Every table is computed over the band window [x0, x0 + 2h + 1] of its
-source x: homs vanish outside the h slices after x (`_assert_support_band`),
+source x: homs vanish outside the h slices after x (`_check_support_band`),
 so the window holds every nonzero hom, and a table stores only those.  By
 tau-equivariance one fast table per node, computed once per process for
 the source (0, node), serves every level.  The arrows into each node and
@@ -43,7 +43,7 @@ from .values import Value
 from .ztquiver import StableTranslationQuiver, ZVert, _steps
 
 
-class SupportBandError(AssertionError):
+class SupportBandError(RuntimeError):
     """A nonzero hom appeared outside the expected support band."""
 
 
@@ -135,7 +135,7 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
             arrow_maps[(u, v)] = cols
 
     table = HomTable(graph, source, dims)
-    _assert_support_band(table)
+    _check_support_band(table)
     return table
 
 
@@ -157,11 +157,11 @@ def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
             dims[(p, q)] = total
             last = g
     table = HomTable(graph, source, dims)
-    _assert_support_band(table)
+    _check_support_band(table)
     return table
 
 
-def _assert_support_band(table: HomTable) -> None:
+def _check_support_band(table: HomTable) -> None:
     """Nonzero homs from the source lie on its nodes within h slices ahead."""
     h = coxeter_number(table.graph)
     depth = _steps(table.graph).depth

@@ -15,6 +15,14 @@ into and out of each node (`_steps`, per graph, shared with the hom tables
 of `meshcat`) and the points g^k(0, q) of each node's deck orbit
 (`_deck_orbits`, per quotient).  So `deck` is a `divmod` lookup for any
 power, negative ones included, and `canonical` a `min` over one orbit.
+
+The automorphisms of a quotient are not searched for.  ZQ is the universal
+cover of ZQ / G, so by Riedtmann's covering theory (Algebren,
+Darstellungsköcher, Überlagerungen und zurück, Comment. Math. Helv. 55,
+1980) each of them lifts to an automorphism s* tau^k of ZQ that normalises
+G, with s an automorphism of the tree (`dynkin.tree_automorphisms`).
+`automorphisms` lifts each s, projects the lift and keeps the projections
+that are automorphisms of the quotient.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import json
 from functools import cache
 
-from .dynkin import DynkinGraph, GraphAutomorphism, RfsType, admissible_group
+from .dynkin import DynkinGraph, GraphAutomorphism, RfsType, admissible_group, tree_automorphisms
 from .values import Value
 
 ZVert = tuple[int, int]
@@ -229,69 +237,37 @@ def _check_mesh_symmetry(q: StableTranslationQuiver) -> None:
 def automorphisms(q: StableTranslationQuiver) -> list[dict]:
     """All arrow-preserving vertex permutations commuting with tau.
 
-    Backtracking over tau-orbits, placed breadth first from the orbit of
-    the first vertex.  That orbit may go to any orbit of the same length
-    and degrees.  Every later orbit is entered by an arrow to or from an
-    orbit already placed, so its entry vertex can only go to an out- or
-    in-neighbour of the anchor's image, and only the arrows touching the
-    new orbit are checked.  Output is sorted and therefore deterministic;
-    the identity and the residue of tau itself are members.
+    Each is the projection of some s* tau^k normalising G (Riedtmann, see
+    the module docstring), so each tree automorphism s is lifted once: s*
+    is spread from (0, 1) along the arrows out of each node, and its
+    projection phi is kept when it is a bijection mapping arrows to arrows,
+    which holds exactly when s* normalises G.  Every tau^k phi is then a
+    member as well.  Output is sorted and therefore deterministic; the
+    identity and the residue of tau itself are members.
     """
-    verts = q.vertices
+    graph, verts = q.graph, q.vertices
+    outs = _steps(graph).outs
+    orbits = q._orbits()
     arrow_set = set(q.arrows)
-    outs: dict[ZVert, list[ZVert]] = {v: [] for v in verts}
-    ins: dict[ZVert, list[ZVert]] = {v: [] for v in verts}
-    for u, v in q.arrows:
-        outs[u].append(v)
-        ins[v].append(u)
-
-    def tau_orbit(v: ZVert) -> list[ZVert]:
-        orb, w = [v], q.tau[v]
-        while w != v:
-            orb.append(w)
-            w = q.tau[w]
-        return orb
-
-    # steps[i] = (anchor, nbrs, orbit): the orbit is listed from its entry
-    # vertex x, and x is in nbrs[anchor] for an anchor of an earlier step
-    first = tau_orbit(verts[0])
-    step_of = dict.fromkeys(first, 0)
-    steps = [(None, None, first)]
-    for _, _, orb in steps:
-        for a in orb:
-            for nbrs in (outs, ins):
-                for x in nbrs[a]:
-                    if x not in step_of:
-                        entered = tau_orbit(x)
-                        step_of.update(dict.fromkeys(entered, len(steps)))
-                        steps.append((a, nbrs, entered))
-    if len(step_of) != len(verts):
-        raise CoveringError(f"{q.rfs_type}: the quotient is not connected modulo tau")
-    # the arrows checked when step i is placed: both ends placed, one in step i
-    checks: list[list[tuple[ZVert, ZVert]]] = [[] for _ in steps]
-    for u, v in q.arrows:
-        checks[max(step_of[u], step_of[v])].append((u, v))
-
-    found: list[dict] = []
-
-    def extend(i: int, phi: dict, used: set):
-        if i == len(steps):
-            found.append({v: phi[v] for v in verts})
-            return
-        anchor, nbrs, orb = steps[i]
-        degrees = (len(ins[orb[0]]), len(outs[orb[0]]))
-        for w in verts if anchor is None else nbrs[phi[anchor]]:
-            if (len(ins[w]), len(outs[w])) != degrees:
-                continue
-            images = tau_orbit(w)
-            if len(images) != len(orb) or used.intersection(images):
-                continue
-            phi.update(zip(orb, images))
-            if all((phi[u], phi[v]) in arrow_set for u, v in checks[i]):
-                extend(i + 1, phi, used.union(images))
-            for v in orb:
-                del phi[v]
-
-    extend(0, {}, set())
-    found.sort(key=lambda phi: tuple(phi[v] for v in verts))
-    return found
+    found: dict[tuple, dict] = {}
+    for s in tree_automorphisms(graph):
+        # s*(p, n) = (p + shift[n], s(n)): the arrow (p, n) -> (p + dp, m)
+        # goes to the arrow out of s*(p, n) towards s(m)
+        shift, spread = {1: 0}, [1]
+        for n in spread:
+            step = {m: dp for dp, m in outs[s(n)]}
+            for dp, m in outs[n]:
+                if m not in shift:
+                    shift[m] = shift[n] + step[s(m)] - dp
+                    spread.append(m)
+        phi = {v: _project(orbits, (v[0] + shift[v[1]], s(v[1]))) for v in verts}
+        if len(set(phi.values())) < len(verts):
+            continue
+        if not all((phi[u], phi[v]) in arrow_set for u, v in q.arrows):
+            continue
+        key = tuple(phi.values())
+        while key not in found:
+            found[key] = phi
+            phi = {v: q.tau[w] for v, w in phi.items()}
+            key = tuple(phi.values())
+    return [found[key] for key in sorted(found)]

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from smsquiver.dynkin import (
     DynkinGraph,
+    GraphAutomorphism,
     InvalidTypeError,
     RfsInvariantError,
     RfsType,
@@ -12,9 +14,8 @@ from smsquiver.dynkin import (
     family_letter,
     is_symmetric_type,
     num_simples,
-    order2_automorphism,
-    order3_automorphism,
     parse_type,
+    tree_automorphisms,
     type_from_json,
     validate_rfs_type,
 )
@@ -102,13 +103,24 @@ def test_admissible_group_examples():
         t = parse_type(text)
         r, _ = admissible_group(t)
         assert Fraction(r, t.coxeter - 1) == t.frequency
+    # zeta is the first tree automorphism of order t
+    for text, mapping in [
+        ("D:4/f=1/t=3", (3, 2, 4, 1)),
+        ("D:4/f=1/t=2", (1, 2, 4, 3)),
+        ("D:4/f=1/t=1", (1, 2, 3, 4)),
+        ("D:5/f=1/t=2", (1, 2, 3, 5, 4)),
+        ("A:5/f=1/t=2", (5, 4, 3, 2, 1)),
+        ("E:6/f=1/t=2", (6, 2, 5, 4, 3, 1)),
+        ("E:8/f=1/t=1", (1, 2, 3, 4, 5, 6, 7, 8)),
+    ]:
+        assert admissible_group(parse_type(text))[1].mapping == mapping, text
 
 
 def test_broken_deck_automorphism_raises(monkeypatch):
     from smsquiver import dynkin
 
-    monkeypatch.setattr(dynkin, "order2_automorphism", dynkin.identity_automorphism)
-    with pytest.raises(RfsInvariantError, match="order 1"):
+    monkeypatch.setattr(dynkin, "tree_automorphisms", lambda g: [GraphAutomorphism(g, g.nodes)])
+    with pytest.raises(RfsInvariantError, match="order 2"):
         admissible_group(parse_type("A:5/f=1/t=2"))
 
 
@@ -130,16 +142,29 @@ def test_integrality_invariants_hold_on_accepted_grid():
 
 
 def test_graph_automorphisms():
-    flip = order2_automorphism(DynkinGraph("A", 5))
-    assert flip.order == 2 and flip(1) == 5 and flip(3) == 3
-    rot = order3_automorphism(DynkinGraph("D", 4))
-    assert rot.order == 3
-    swap = order2_automorphism(DynkinGraph("E", 6))
+    ident, flip = tree_automorphisms(DynkinGraph("A", 5))
+    assert ident.order == 1 and flip.order == 2 and flip(1) == 5 and flip(3) == 3
+    d4 = tree_automorphisms(DynkinGraph("D", 4))
+    assert [s.order for s in d4] == [1, 2, 2, 3, 3, 2] and all(s(2) == 2 for s in d4)
+    ident, swap = tree_automorphisms(DynkinGraph("E", 6))
     assert swap.order == 2 and swap(2) == 2 and swap(4) == 4
-    with pytest.raises(InvalidTypeError):
-        order2_automorphism(DynkinGraph("A", 4))
-    with pytest.raises(InvalidTypeError):
-        order3_automorphism(DynkinGraph("D", 5))
+    assert [s.order for s in tree_automorphisms(DynkinGraph("D", 5))] == [1, 2]
+    for g in [DynkinGraph("A", 1), DynkinGraph("E", 7), DynkinGraph("E", 8)]:
+        assert [s.mapping for s in tree_automorphisms(g)] == [g.nodes]
+
+
+def test_tree_automorphisms_are_the_edge_preserving_permutations():
+    graphs = [DynkinGraph("A", n) for n in range(1, 9)]
+    graphs += [DynkinGraph("D", n) for n in range(4, 9)]
+    graphs += [DynkinGraph("E", n) for n in (6, 7, 8)]
+    for g in graphs:
+        edges = set(g.edges)
+        brute = [
+            perm
+            for perm in permutations(g.nodes)
+            if all(tuple(sorted((perm[a - 1], perm[b - 1]))) in edges for a, b in edges)
+        ]
+        assert [s.mapping for s in tree_automorphisms(g)] == brute, g
 
 
 def test_parse_and_json_round_trip():

@@ -27,7 +27,7 @@ from smsquiver.linalg import SpanTracker
 from smsquiver.meshcat import (
     HomTable,
     SupportBandError,
-    _assert_support_band,
+    _check_support_band,
     _band_order,
     _node_table,
     fast_table,
@@ -139,7 +139,7 @@ def test_out_of_band_cache_entry_is_a_miss(entry):
     p, node, d = entry
     bad = HomTable(q.graph, good.source, {**good.dims, (p, node): d})
     with pytest.raises(SupportBandError):
-        _assert_support_band(bad)
+        _check_support_band(bad)
     assert _node_table(q.graph, 3).dims == fast_table(q.graph, (0, 3)).dims
     assert quotient_hom_table(q) == expected
 
