@@ -21,7 +21,12 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   tiers: a sound fixpoint closure under layer steps whose middle is one
   strand plus projectives proves membership, and hom-vanishing
   certificates prove non-membership; a query neither tier decides raises
-  GenerationUndecided (see NakayamaAlgebra._generated);
+  GenerationUndecided (see NakayamaAlgebra._generated).  The closure
+  stops as soon as it holds every non-projective indecomposable;
+* extension closures are computed once per algebra and subset, and each
+  one also answers its mirror image: D carries extension-closed
+  subcategories to extension-closed subcategories, so the closure of
+  D(U) is D of the closure of U (see NakayamaAlgebra.ext_closure);
 * left mutation triangles are realized as pushouts in mod A followed by
   stripping projective summands; right mutation is left mutation
   conjugated by the duality D of N(e, L), D M(t, l) = M(-(t+l-1), l),
@@ -118,6 +123,7 @@ class NakayamaAlgebra:
         self.L = loewy_length
         self._middles_cache: dict[tuple[Multiset, SerialModule], tuple] = {}
         self._sms_cache: dict[Multiset, bool] = {}
+        self._closure_cache: dict[Multiset, Multiset] = {}
 
     def __repr__(self):
         return f"NakayamaAlgebra({self.e}, {self.L})"
@@ -260,12 +266,28 @@ class NakayamaAlgebra:
     # --- generation -----------------------------------------------------
 
     def ext_closure(self, mods) -> Multiset:
-        """Indecomposables of the smallest extension-closed stable subcategory."""
-        mods = _canon(set(mods))
-        if not mods:
+        """Indecomposables of the smallest extension-closed stable subcategory.
+
+        Cached per algebra.  A computed closure C of U is also stored as the
+        closure D(C) of D(U): the duality D is exact, so it carries
+        extension-closed subcategories to extension-closed ones.  Right
+        mutation runs left mutation on dual arguments, so a search in both
+        directions meets every subset together with its dual, and computes
+        one closure per pair.  Both tiers of _generated are sound, so a
+        closure that returns is the true one; a dual entry may therefore
+        answer a query that direct computation would refuse with
+        GenerationUndecided.
+        """
+        key = _canon(set(mods))
+        if not key:
             return ()
-        ind = self.indecomposables()
-        return _canon(y for y, ok in zip(ind, self._generated(mods, ind)) if ok)
+        closure = self._closure_cache.get(key)
+        if closure is None:
+            ind = self.indecomposables()
+            closure = _canon(y for y, ok in zip(ind, self._generated(key, ind)) if ok)
+            self._closure_cache[key] = closure
+            self._closure_cache[self._dual_all(key)] = self._dual_all(closure)
+        return closure
 
     def is_sms(self, mods) -> bool:
         """Orthogonality plus the layered generation condition."""
@@ -287,12 +309,16 @@ class NakayamaAlgebra:
         monotone in the closure, so a worklist reaches the same least
         fixpoint as repeated full passes: each member is taken once and
         tried only in the sub-objects that contain it, paired with itself
-        and the members taken before it.
+        and the members taken before it.  Every added strand, like every
+        system member, is a non-projective indecomposable, so a closure of
+        e(L-1) members holds them all and cannot grow: the worklist stops
+        there.
         """
+        full = self.e * (self.L - 1)
         closure = set(system)
         work = list(system)
         taken: list[SerialModule] = []
-        while work:
+        while work and len(closure) < full:
             x = work.pop()
             taken.append(x)
             for sub in [(x,)] + [_canon((x, y)) for y in taken]:

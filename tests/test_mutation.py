@@ -114,3 +114,74 @@ def test_nu_stable_subsets_enumerates_unions():
     parts = nu_orbit_partition(A, A.simples())
     subsets = list(_nu_stable_subsets(parts))
     assert len(subsets) == 2 ** len(parts) - 1
+
+
+def test_extension_closures_commute_with_duality():
+    """ext_closure(D U) = D ext_closure(U), both sides on fresh algebras.
+
+    Fresh algebras share no closure cache, so neither side is answered by
+    the dual entry the other one stores.
+    """
+    pairs = 0
+    for e, L in SMALL_ALGEBRAS:
+        A = NakayamaAlgebra(e, L)
+        for S in A.all_sms():
+            for sub in _nu_stable_subsets(nu_orbit_partition(A, S)):
+                direct = NakayamaAlgebra(e, L).ext_closure(sub)
+                dual = NakayamaAlgebra(e, L).ext_closure(A._dual_all(sub))
+                assert dual == A._dual_all(direct), (e, L, sub)
+                pairs += 1
+    assert pairs == 389
+
+
+def count_closure_computations(monkeypatch):
+    """Record every ext_closure argument; count the _generated calls it makes."""
+    args, inside, computed = [], [], [0]
+    ext_closure, generated = NakayamaAlgebra.ext_closure, NakayamaAlgebra._generated
+
+    def counting_ext_closure(self, mods):
+        args.append(tuple(sorted(set(mods))))
+        inside.append(True)
+        try:
+            return ext_closure(self, mods)
+        finally:
+            inside.pop()
+
+    def counting_generated(self, system, ys):
+        computed[0] += bool(inside)  # is_sms calls it too, outside any closure
+        return generated(self, system, ys)
+
+    monkeypatch.setattr(NakayamaAlgebra, "ext_closure", counting_ext_closure)
+    monkeypatch.setattr(NakayamaAlgebra, "_generated", counting_generated)
+    return args, computed
+
+
+@pytest.mark.parametrize(
+    "e,L,direction,composite,calls,computations",
+    [(3, 7, "both", True, 280, 54), (5, 6, "left", False, 210, 15)],
+)
+def test_one_closure_computation_per_duality_class(
+    monkeypatch, e, L, direction, composite, calls, computations
+):
+    A = NakayamaAlgebra(e, L)
+    start = A.simples()  # is_sms runs here, before any closure is counted
+    args, computed = count_closure_computations(monkeypatch)
+    build_mutation_quiver(A, start, direction, composite, size_bound=30)
+    assert len(args) == calls
+    assert computed[0] == computations
+    classes = {frozenset([sub, A._dual_all(sub)]) for sub in args}
+    assert len(classes) == computations
+
+
+def test_cached_closures_build_the_same_quivers():
+    """A shared algebra and one that asks a fresh algebra for every closure."""
+    for e, L in SMALL_ALGEBRAS:
+        if e * (L - 1) > 12:
+            continue
+        shared = NakayamaAlgebra(e, L)
+        uncached = NakayamaAlgebra(e, L)
+        uncached.ext_closure = lambda mods, e=e, L=L: NakayamaAlgebra(e, L).ext_closure(mods)
+        for direction in ("left", "right", "both"):
+            want = build_mutation_quiver(uncached, uncached.simples(), direction, True)
+            got = build_mutation_quiver(shared, shared.simples(), direction, True)
+            assert got == want, (e, L, direction)

@@ -567,6 +567,17 @@ def test_worklist_closure_matches_full_passes():
     assert checked > 0
 
 
+def test_single_strand_closure_of_every_system_is_everything():
+    # so the worklist stops early on every system, and no system of
+    # e(L-1) <= 16 needs the vanishing tier to be accepted
+    checked = 0
+    for A in algebras_up_to(16):
+        for S in A.all_sms():
+            assert A._single_strand_closure(S) == frozenset(A.indecomposables()), (A, S)
+            checked += 1
+    assert checked > 0
+
+
 def unpruned_orthogonal_candidates(A):
     """Walk every subset of the schurian modules, with no size bound."""
     mods = [m for m in A.indecomposables() if A.stable_hom_dim(m, m) == 1]
