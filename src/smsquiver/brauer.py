@@ -25,9 +25,6 @@ def rooted_plane_trees(edges: int):
                 yield (child,) + rest
 
 
-_rooted = rooted_plane_trees
-
-
 def _tree_graph(tree):
     """Adjacency with cyclic neighbor order; vertex 0 is the root."""
     neighbors = {0: []}
@@ -98,7 +95,7 @@ def _canonical(neighbors, marked=None):
 
 def _plane_tree_classes(edges: int):
     seen = {}
-    for tree in _rooted(edges):
+    for tree in rooted_plane_trees(edges):
         neighbors = _tree_graph(tree)
         canon = _canonical(neighbors)
         if canon not in seen:

@@ -254,10 +254,16 @@ def _finish(t: RfsType, family: str) -> tuple[bool, str]:
     return True, f"family ({family})"
 
 
-def family_letter(t: RfsType) -> str:
+def _require_valid(t: RfsType) -> str:
+    """The diagnostic of a valid type; raise InvalidTypeError otherwise."""
     ok, diag = validate_rfs_type(t)
     if not ok:
         raise InvalidTypeError(f"{t}: {diag}")
+    return diag
+
+
+def family_letter(t: RfsType) -> str:
+    diag = _require_valid(t)
     return diag[diag.index("(") + 1]
 
 
@@ -274,9 +280,7 @@ def has_nonstandard_counterpart(t: RfsType) -> bool:
 
 def is_symmetric_type(t: RfsType) -> bool:
     """Whether the type is realized by a symmetric algebra."""
-    ok, diag = validate_rfs_type(t)
-    if not ok:
-        raise InvalidTypeError(f"{t}: {diag}")
+    _require_valid(t)
     g, f = t.graph, t.frequency
     if t.torsion != 1:
         return False
@@ -293,9 +297,7 @@ def admissible_group(t: RfsType) -> tuple[int, GraphAutomorphism]:
 
     zeta is the first tree automorphism of order t (`tree_automorphisms`).
     """
-    ok, diag = validate_rfs_type(t)
-    if not ok:
-        raise InvalidTypeError(f"{t}: {diag}")
+    _require_valid(t)
     r = t.frequency * (coxeter_number(t.graph) - 1)
     if r.denominator != 1 or r <= 0:
         raise RfsInvariantError(f"{t}: r = {r} is not a positive integer")
@@ -306,9 +308,7 @@ def admissible_group(t: RfsType) -> tuple[int, GraphAutomorphism]:
 
 
 def num_simples(t: RfsType) -> int:
-    ok, diag = validate_rfs_type(t)
-    if not ok:
-        raise InvalidTypeError(f"{t}: {diag}")
+    _require_valid(t)
     s = t.frequency * t.graph.rank
     if s.denominator != 1:
         raise RfsInvariantError(f"{t}: {s} simples is not an integer")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .nakayama import BoundExceededError, Multiset, NakayamaAlgebra, SerialModule, _canon
+from .nakayama import Multiset, NakayamaAlgebra, SerialModule, _canon
 from .values import Value
 
 
@@ -112,10 +112,7 @@ def build_mutation_quiver(
     """
     if direction not in ("left", "right", "both"):
         raise ValueError("direction must be left, right or both")
-    if algebra.e * (algebra.L - 1) > size_bound:
-        raise BoundExceededError(
-            f"e*(L-1) = {algebra.e * (algebra.L - 1)} exceeds bound {size_bound}"
-        )
+    algebra._require_size(size_bound)
     start = _canon(start)
     if not algebra.is_sms(start):
         raise ValueError("starting system is not an sms")

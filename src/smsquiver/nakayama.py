@@ -17,16 +17,18 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   grading where every serial summand is an interval containing 0, a bar
   dominated by another splits off unchanged and the rest glue pairwise
   (see _pushout_middle);
-* the generation condition of a candidate system S is decided in two
-  tiers: a sound fixpoint closure under layer steps whose middle is one
-  strand plus projectives proves membership, and hom-vanishing
-  certificates prove non-membership; a query neither tier decides raises
-  GenerationUndecided (see NakayamaAlgebra._generated).  The closure
-  stops as soon as it holds every non-projective indecomposable;
-* extension closures are computed once per algebra and subset, and each
-  one also answers its mirror image: D carries extension-closed
+* extension closures are decided in two tiers: a sound fixpoint closure
+  under layer steps whose middle is one strand plus projectives proves
+  membership, and hom-vanishing certificates prove non-membership; a
+  query neither tier decides raises GenerationUndecided.  The fixpoint
+  stops as soon as it holds every non-projective indecomposable, and then
+  no certificate is needed.  A candidate system S generates exactly when
+  its closure is everything, so is_sms decides generation through
+  ext_closure (see NakayamaAlgebra.ext_closure);
+* each closure is computed once per algebra and subset, and also
+  answers its mirror image: D carries extension-closed
   subcategories to extension-closed subcategories, so the closure of
-  D(U) is D of the closure of U (see NakayamaAlgebra.ext_closure);
+  D(U) is D of the closure of U;
 * left mutation triangles are realized as pushouts in mod A followed by
   stripping projective summands; right mutation is left mutation
   conjugated by the duality D of N(e, L), D M(t, l) = M(-(t+l-1), l),
@@ -122,7 +124,6 @@ class NakayamaAlgebra:
         self.e = num_simples
         self.L = loewy_length
         self._middles_cache: dict[tuple[Multiset, SerialModule], tuple] = {}
-        self._sms_cache: dict[Multiset, bool] = {}
         self._closure_cache: dict[Multiset, Multiset] = {}
 
     def __repr__(self):
@@ -236,26 +237,19 @@ class NakayamaAlgebra:
 
     # --- orthogonality, wsms --------------------------------------------
 
-    def is_orthogonal_system(self, mods) -> tuple[bool, str]:
+    def is_orthogonal_system(self, mods) -> bool:
+        """Distinct non-projectives, each with one-dimensional stable End,
+        and no nonzero stable Hom between two of them."""
         mods = _canon(mods)
-        if len(set(mods)) != len(mods):
-            return False, "members must be pairwise distinct"
-        for m in mods:
-            if self.is_projective(m):
-                return False, f"{m} is projective"
-            d = self.stable_hom_dim(m, m)
-            if d != 1:
-                return False, f"stable End{m} has dimension {d} != 1"
-        for m in mods:
-            for n in mods:
-                if m != n and self.stable_hom_dim(m, n) != 0:
-                    return False, f"stable Hom({m},{n}) != 0"
-        return True, "orthogonal"
+        return (
+            len(set(mods)) == len(mods)
+            and all(not self.is_projective(m) and self.stable_hom_dim(m, m) == 1 for m in mods)
+            and all(m == n or self.stable_hom_dim(m, n) == 0 for m in mods for n in mods)
+        )
 
     def is_wsms(self, mods) -> bool:
         """Orthogonality plus: every indecomposable maps onto the system."""
-        ok, _ = self.is_orthogonal_system(mods)
-        if not ok:
+        if not self.is_orthogonal_system(mods):
             return False
         members = set(_canon(mods))
         for x in self.indecomposables():
@@ -268,37 +262,66 @@ class NakayamaAlgebra:
     def ext_closure(self, mods) -> Multiset:
         """Indecomposables of the smallest extension-closed stable subcategory.
 
+        Two tiers decide each indecomposable y, fastest first: the
+        single-strand closure proves membership, and hom-vanishing
+        certificates prove non-membership (stable homs out of or into U
+        are subadditive along triangles, so a nonzero stable hom between y
+        and U's two-sided vanishing sets rules y out).  A y that neither
+        tier decides raises GenerationUndecided rather than guessing.
+        When the single-strand closure already holds all e(L-1)
+        non-projectives, the closure is indecomposables() itself and no
+        vanishing set is built.
+
         Cached per algebra.  A computed closure C of U is also stored as the
         closure D(C) of D(U): the duality D is exact, so it carries
         extension-closed subcategories to extension-closed ones.  Right
-        mutation runs left mutation on dual arguments, so a search in both
-        directions meets every subset together with its dual, and computes
-        one closure per pair.  Both tiers of _generated are sound, so a
-        closure that returns is the true one; a dual entry may therefore
-        answer a query that direct computation would refuse with
+        mutation runs left mutation on dual arguments, and D carries
+        orthogonal candidates to orthogonal candidates, so the mutation
+        search and all_sms meet most subsets together with their duals and
+        compute one closure per pair.  Both tiers are sound, so a closure
+        that returns is the true one; a dual entry may therefore answer a
+        query that direct computation would refuse with
         GenerationUndecided.
         """
         key = _canon(set(mods))
         if not key:
             return ()
         closure = self._closure_cache.get(key)
-        if closure is None:
-            ind = self.indecomposables()
-            closure = _canon(y for y, ok in zip(ind, self._generated(key, ind)) if ok)
-            self._closure_cache[key] = closure
-            self._closure_cache[self._dual_all(key)] = self._dual_all(closure)
+        if closure is not None:
+            return closure
+        ind = self.indecomposables()
+        strands = self._single_strand_closure(key)
+        if len(strands) == len(ind):
+            closure = dual = ind
+        else:
+            vanish_out = [w for w in ind if all(self.stable_hom_dim(s, w) == 0 for s in key)]
+            vanish_in = [w for w in ind if all(self.stable_hom_dim(w, s) == 0 for s in key)]
+            for y in ind:
+                if y not in strands and not any(
+                    self.stable_hom_dim(y, w) for w in vanish_out
+                ) and not any(self.stable_hom_dim(w, y) for w in vanish_in):
+                    raise GenerationUndecided(
+                        f"cannot decide whether {y} is generated by {[str(m) for m in key]}"
+                    )
+            closure = tuple(y for y in ind if y in strands)
+            dual = self._dual_all(closure)
+        self._closure_cache[key] = closure
+        self._closure_cache[self._dual_all(key)] = dual
         return closure
 
     def is_sms(self, mods) -> bool:
-        """Orthogonality plus the layered generation condition."""
-        mods = _canon(mods)
-        cached = self._sms_cache.get(mods)
-        if cached is not None:
-            return cached
-        ok, _ = self.is_orthogonal_system(mods)
-        result = ok and all(self._generated(mods, self.indecomposables()))
-        self._sms_cache[mods] = result
-        return result
+        """Orthogonality plus generation: the extension closure of the system
+        holds all e(L-1) non-projectives.
+
+        Generation is decided by ext_closure alone, so the answer is cached
+        with the closure, and the dual entry answers for D(system).  The
+        certificates only rule modules out, so an accepted system is one
+        whose single-strand closure is full.  Any other orthogonal
+        candidate builds vanishing sets, and is rejected or raises
+        GenerationUndecided.
+        """
+        full = self.e * (self.L - 1)
+        return self.is_orthogonal_system(mods) and len(self.ext_closure(mods)) == full
 
     def _single_strand_closure(self, system: Multiset) -> frozenset:
         """Fixpoint of layer steps whose middle is one strand plus projectives.
@@ -330,45 +353,14 @@ class NakayamaAlgebra:
                             work.append(strands[0])
         return frozenset(closure)
 
-    def _generated(self, system: Multiset, ys):
-        """Yield, for each y of ys in turn, whether the system generates y.
-
-        Two tiers decide, fastest first: the single-strand closure proves
-        membership, and hom-vanishing certificates prove non-membership
-        (stable homs out of or into the system are subadditive along
-        triangles, so a nonzero stable hom between y and the system's
-        two-sided vanishing sets rules y out).  The vanishing sets are
-        computed at the first y outside the closure.  A y that neither
-        tier decides raises GenerationUndecided rather than guessing.
-        """
-        closure = self._single_strand_closure(system)
-        vanish_out = vanish_in = None
-        for y in ys:
-            if y in closure:
-                yield True
-                continue
-            if vanish_out is None:
-                ind = self.indecomposables()
-                vanish_out = frozenset(
-                    w for w in ind if all(self.stable_hom_dim(s, w) == 0 for s in system)
-                )
-                vanish_in = frozenset(
-                    w for w in ind if all(self.stable_hom_dim(w, s) == 0 for s in system)
-                )
-            if not any(self.stable_hom_dim(y, w) for w in vanish_out) and not any(
-                self.stable_hom_dim(w, y) for w in vanish_in
-            ):
-                raise GenerationUndecided(
-                    f"cannot decide whether {y} is generated by {[str(m) for m in system]}"
-                )
-            yield False
+    def _require_size(self, bound: int):
+        """Raise BoundExceededError when e(L-1) exceeds a search's bound."""
+        if self.e * (self.L - 1) > bound:
+            raise BoundExceededError(f"e*(L-1) = {self.e * (self.L - 1)} exceeds bound {bound}")
 
     def all_sms(self, bound: int = 24) -> list[Multiset]:
         """All simple-minded systems, by orthogonal-clique search + generation."""
-        if self.e * (self.L - 1) > bound:
-            raise BoundExceededError(
-                f"e*(L-1) = {self.e * (self.L - 1)} exceeds bound {bound}"
-            )
+        self._require_size(bound)
         found = [s for s in self.orthogonal_candidates() if self.is_sms(s)]
         return sorted(found)
 
