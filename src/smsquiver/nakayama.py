@@ -29,6 +29,10 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   answers its mirror image: D carries extension-closed
   subcategories to extension-closed subcategories, so the closure of
   D(U) is D of the closure of U;
+* tau and Omega are stable auto-equivalences, so they permute the
+  orthogonal candidates and keep whether each one is a system.  They
+  generate the 2e maps tau^a Omega^b (a < e, b < 2, as Omega^2 = tau^L),
+  and all_sms decides generation once per orbit of that group;
 * left mutation triangles are realized as pushouts in mod A followed by
   stripping projective summands; right mutation is left mutation
   conjugated by the duality D of N(e, L), D M(t, l) = M(-(t+l-1), l),
@@ -132,10 +136,6 @@ class NakayamaAlgebra:
     def _col(self, c: int) -> int:
         return (c - 1) % self.e + 1
 
-    @property
-    def is_symmetric(self) -> bool:
-        return (self.L - 1) % self.e == 0
-
     def module(self, top: int, length: int) -> SerialModule:
         if not 1 <= length <= self.L:
             raise ValueError(f"length must be in [1,{self.L}]")
@@ -175,9 +175,6 @@ class NakayamaAlgebra:
             for j in range(lo, n.length)
             if self._col(n.top + j) == m.top
         ]
-
-    def hom_dim(self, m: SerialModule, n: SerialModule) -> int:
-        return len(self.hom_depths(m, n))
 
     def stable_hom_basis(self, m: SerialModule, n: SerialModule) -> tuple[int, ...]:
         """Depths whose maps form a basis of Hom(M,N) modulo projectives.
@@ -358,11 +355,39 @@ class NakayamaAlgebra:
         if self.e * (self.L - 1) > bound:
             raise BoundExceededError(f"e*(L-1) = {self.e * (self.L - 1)} exceeds bound {bound}")
 
+    def _symmetries(self) -> list[dict[SerialModule, SerialModule]]:
+        """The maps tau^a Omega^b (a < e, b < 2) on the non-projectives.
+
+        tau^a Omega^b M(t, l) is M(t + a, l) for b = 0 and M(t + l + a, L - l)
+        for b = 1.  Omega^2 = tau^L, so these maps are the whole group
+        <tau, Omega>; when L = 2, Omega = tau and the list repeats maps.
+        """
+        ind = self.indecomposables()
+        rotations = [
+            {m: SerialModule(self._col(m.top + a), m.length) for m in ind} for a in range(self.e)
+        ]
+        return rotations + [{m: g[self.omega(m)] for m in ind} for g in rotations]
+
     def all_sms(self, bound: int = 24) -> list[Multiset]:
-        """All simple-minded systems, by orthogonal-clique search + generation."""
+        """All simple-minded systems, by orthogonal-clique search + generation.
+
+        tau and Omega are stable auto-equivalences, so they carry systems to
+        systems and orthogonal candidates to orthogonal candidates.  Generation
+        is therefore decided once per <tau, Omega>-orbit of candidates, on the
+        first member met, and the verdict holds for the whole orbit.  As with
+        the dual entries of the closure cache, a member may thus be answered
+        where a direct is_sms query would raise GenerationUndecided.
+        """
         self._require_size(bound)
-        found = [s for s in self.orthogonal_candidates() if self.is_sms(s)]
-        return sorted(found)
+        symmetries = self._symmetries()
+        candidates = self.orthogonal_candidates()
+        verdict: dict[Multiset, bool] = {}
+        for s in candidates:
+            if s not in verdict:
+                ok = self.is_sms(s)
+                for g in symmetries:
+                    verdict[_canon(g[m] for m in s)] = ok
+        return sorted(s for s in candidates if verdict[s])
 
     def orthogonal_candidates(self) -> list[Multiset]:
         """All e-element orthogonal systems with one-dimensional stable End."""

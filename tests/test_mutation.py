@@ -56,6 +56,24 @@ def test_every_left_arrow_has_an_inverse_right_mutation(e, L):
             assert A.mutate_left(shifted, [A.omega(m) for m in sub]) == S
 
 
+def test_mutation_commutes_with_tau_and_omega():
+    """tau and Omega are triangle auto-equivalences that keep nu-stable
+    subsets nu-stable, so mutating the image is the image of the mutation."""
+    triples = 0
+    for e, L in SMALL_ALGEBRAS:
+        A = NakayamaAlgebra(e, L)
+        for S in A.all_sms():
+            for sub in _nu_stable_subsets(nu_orbit_partition(A, S)):
+                for g in (A.tau, A.omega):
+                    gS, gsub = [tuple(sorted(map(g, mods))) for mods in (S, sub)]
+                    for mutate in (A.mutate_left, A.mutate_right):
+                        want = tuple(sorted(map(g, mutate(S, sub))))
+                        assert mutate(gS, gsub) == want, (e, L, S, sub, g.__name__)
+                    triples += 1
+    # 389 (system, subset) pairs, each with both generators
+    assert triples == 778
+
+
 def test_both_direction_quiver_strongly_connected():
     for e, L in SMALL_ALGEBRAS:
         A = NakayamaAlgebra(e, L)

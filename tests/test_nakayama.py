@@ -35,6 +35,15 @@ from smsquiver.nakayama import (
 )
 
 
+def hom_dim(A, m, n):
+    return len(A.hom_depths(m, n))
+
+
+def is_symmetric(A):
+    """N(e, L) is symmetric when the Nakayama permutation is trivial."""
+    return (A.L - 1) % A.e == 0
+
+
 def brute_hom_dims(A, m, n):
     """(hom dim, stably-zero dim) for maps m -> n by raw intertwiners."""
     rows = []
@@ -127,7 +136,7 @@ def test_stable_hom_matches_brute_force(e, L):
     for m in A.indecomposables():
         for n in A.indecomposables():
             hom, stably_zero = brute_hom_dims(A, m, n)
-            assert A.hom_dim(m, n) == hom
+            assert hom_dim(A, m, n) == hom
             assert A.stable_hom_dim(m, n) == hom - stably_zero, (m, n)
             assert A.stable_hom_basis(m, n) == reference_stable_hom_basis(A, m, n)
 
@@ -169,11 +178,11 @@ def test_omega_is_kernel_of_projective_cover():
 
 def test_nakayama_permutation():
     sym = NakayamaAlgebra(4, 5)
-    assert sym.is_symmetric
+    assert is_symmetric(sym)
     for m in sym.indecomposables():
         assert sym.nu(m) == m
     A = NakayamaAlgebra(3, 3)
-    assert not A.is_symmetric
+    assert not is_symmetric(A)
     S = A.simples()
     images = {A.nu(s) for s in S}
     assert images == set(S) and all(A.nu(s) != s for s in S)
@@ -269,7 +278,7 @@ def test_duality_reverses_homs(e, L):
         assert A.dual(A.omega(m)) == A.omega_inv(A.dual(m))
         assert A.nu(A.dual(A.nu(m))) == A.dual(m)  # D nu = nu^{-1} D
         for n in A.indecomposables():
-            assert A.hom_dim(m, n) == A.hom_dim(A.dual(n), A.dual(m))
+            assert hom_dim(A, m, n) == hom_dim(A, A.dual(n), A.dual(m))
             assert A.stable_hom_dim(m, n) == A.stable_hom_dim(A.dual(n), A.dual(m))
 
 
@@ -408,6 +417,91 @@ def test_transported_bijection_on_every_small_algebra(bound):
         d = math.gcd(A.e, n)
         observed = math.comb(2 * d, d) // (d + 1) if A.e % n == 0 else math.comb(2 * d, d)
         assert len(systems) == observed, A
+
+
+def image(g, system):
+    return tuple(sorted(g(m) for m in system))
+
+
+def test_all_sms_is_closed_under_tau_omega_and_duality():
+    for A in algebras_up_to(16):
+        systems = set(A.all_sms())
+        for g in (A.tau, A.omega, A.dual):
+            assert {image(g, s) for s in systems} == systems, (A, g.__name__)
+
+
+@pytest.mark.parametrize("bound", [16, pytest.param(24, marks=pytest.mark.slow)])
+def test_all_sms_matches_a_generation_check_of_every_candidate(bound):
+    """all_sms decides one candidate per <tau, Omega>-orbit; the reference
+    asks a fresh algebra, with an empty closure cache, about every one."""
+    for A in algebras_up_to(bound):
+        B = NakayamaAlgebra(A.e, A.L)
+        want = sorted(s for s in B.orthogonal_candidates() if B.is_sms(s))
+        assert A.all_sms(bound=bound) == want, A
+
+
+def test_symmetries_are_the_group_generated_by_tau_and_omega():
+    for A in algebras_up_to(16):
+        ind = A.indecomposables()
+        symmetries = A._symmetries()
+        for g in symmetries:
+            assert sorted(g) == list(ind) and sorted(g.values()) == list(ind), A
+        maps = {tuple(g[m] for m in ind) for g in symmetries}
+        for g in maps:
+            for h in maps:
+                assert tuple(g[ind.index(x)] for x in h) in maps, A
+        assert tuple(map(A.tau, ind)) in maps and tuple(map(A.omega, ind)) in maps, A
+        if A.L >= 3:
+            assert len(maps) == 2 * A.e, A
+
+
+def symmetry_orbits(A, systems):
+    """Number of <tau, Omega>-orbits, generated by the public A.tau and A.omega."""
+    remaining = set(systems)
+    orbits = 0
+    while remaining:
+        orbits += 1
+        frontier = [remaining.pop()]
+        while frontier:
+            s = frontier.pop()
+            for g in (A.tau, A.omega):
+                t = image(g, s)
+                if t in remaining:
+                    remaining.remove(t)
+                    frontier.append(t)
+    return orbits
+
+
+def test_symmetry_orbits_are_the_configuration_orbits():
+    """The automorphisms of ZA_{L-1}/<tau^e> are the tau-powers and the
+    lifted flip; under transport they generate the group of tau and Omega,
+    so the orbits count alike."""
+    from smsquiver.configs import enumerate_configurations, orbit_decomposition
+    from smsquiver.dynkin import DynkinGraph, RfsType
+    from smsquiver.ztquiver import quotient
+
+    for A in algebras_up_to(16):
+        n = A.L - 1
+        q = quotient(RfsType(DynkinGraph("A", n), Fraction(A.e, n), 1))
+        want = len(orbit_decomposition(q, enumerate_configurations(q)))
+        assert symmetry_orbits(A, A.all_sms()) == want, A
+
+
+@pytest.mark.parametrize(
+    "e,m",
+    [
+        pytest.param(e, m, marks=pytest.mark.slow) if e * e * m > 16 else (e, m)
+        for e in range(1, 6)
+        for m in range(1, 5)
+        if e * e * m <= 30
+    ],
+)
+def test_symmetry_orbits_count_brauer_trees(e, m):
+    """N(e, em + 1) is the Brauer star with e edges and multiplicity m."""
+    from smsquiver.brauer import count_brauer_trees
+
+    A = NakayamaAlgebra(e, e * m + 1)
+    assert symmetry_orbits(A, A.all_sms(bound=30)) == count_brauer_trees(e, m)
 
 
 def multiset_from_rank_table(A, ranks):
