@@ -1,12 +1,16 @@
 """Command-line interface.
 
 Subcommands: classify, hom, enumerate, orbits, brauer, sms, mutate,
-quiver, check.  Output is TSV by default; JSON payloads carry a
-`"schema": 1` field and render all exact numbers as strings.  Identical
-invocations produce byte-identical output.  Errors exit with code 1 and a
-one-line `error: <Kind>: <message>` on stderr; bad arguments exit 2,
-including `--sms`, `--start` and `--at`, which are parsed against the
-algebra once the command runs.
+quiver, check.  The first seven take `--format tsv|json`.  Each of their
+`cmd_*` functions prints nothing: it returns its exit code, its JSON
+payload and its TSV lines, and `main` alone prints one or the other,
+adding the schema number 1 to every JSON payload.  `quiver` prints its
+DOT or JSON export (`--out`), and `check` streams one line per criterion.
+JSON renders all exact numbers as strings.  Identical invocations produce
+byte-identical output.  Errors exit with code 1 and a one-line
+`error: <Kind>: <message>` on stderr; bad arguments exit 2, including
+`--sms`, `--start` and `--at`, which are parsed against the algebra once
+the command runs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .dynkin import (
 )
 from .meshcat import quotient_hom_table
 from .mutation import build_mutation_quiver, nu_orbit_partition
-from .nakayama import NakayamaAlgebra, parse_algebra
+from .nakayama import NakayamaAlgebra, _json_modules, parse_algebra
 from .ztquiver import quotient
 
 
@@ -110,166 +114,110 @@ def _parse_at(algebra: NakayamaAlgebra, system, text: str):
     return tuple(sorted(set(chosen)))
 
 
-def _emit(lines, out):
-    for line in lines:
-        print(line, file=out)
+def _algebra(algebra: NakayamaAlgebra) -> dict:
+    return {"simples": algebra.e, "loewy_length": algebra.L}
 
 
-def cmd_classify(args, out) -> int:
-    t = args.type
-    ok, diag = validate_rfs_type(t)
-    if args.format == "json":
-        payload = {"schema": 1, "type": t.to_json(), "valid": ok, "diagnostic": diag}
-        if ok:
-            r, zeta = admissible_group(t)
-            payload.update(
-                {
-                    "family": family_letter(t),
-                    "simples": num_simples(t),
-                    "r": r,
-                    "torsion_order": zeta.order,
-                    "symmetric": is_symmetric_type(t),
-                    "nonstandard_counterpart": has_nonstandard_counterpart(t),
-                }
-            )
-        print(json.dumps(payload, sort_keys=True), file=out)
-        return 0 if ok else 1
-    if not ok:
-        print(f"invalid\t{diag}", file=out)
-        return 1
-    r, _ = admissible_group(t)
-    fields = [
-        "valid",
-        f"family ({family_letter(t)})",
-        f"simples={num_simples(t)}",
-        f"r={r}",
-        f"symmetric={'yes' if is_symmetric_type(t) else 'no'}",
-    ]
-    if has_nonstandard_counterpart(t):
-        fields.append("nonstandard-counterpart=yes")
-    print("\t".join(fields), file=out)
-    return 0
-
-
-def cmd_hom(args, out) -> int:
-    q = quotient(args.type)
-    table = quotient_hom_table(q)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "type": str(q.rfs_type),
-            "dims": [
-                [list(e), list(f), table[(e, f)]]
-                for e in q.vertices
-                for f in q.vertices
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
-    _emit(
-        (
-            f"{e[0]},{e[1]}\t{f[0]},{f[1]}\t{table[(e, f)]}"
-            for e in q.vertices
-            for f in q.vertices
-        ),
-        out,
-    )
-    return 0
-
-
-def cmd_enumerate(args, out) -> int:
-    q = quotient(args.type)
-    configs = enumerate_configurations(q)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "type": str(q.rfs_type),
-            "configurations": [[list(v) for v in c] for c in configs],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
-    _emit((" ".join(f"{p},{n}" for p, n in c) for c in configs), out)
-    return 0
-
-
-def cmd_orbits(args, out) -> int:
-    q = quotient(args.type)
-    orbits = orbit_decomposition(q, enumerate_configurations(q))
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "type": str(q.rfs_type),
-            "orbits": [
-                {
-                    "representative": [list(v) for v in o.representative],
-                    "size": o.size,
-                }
-                for o in orbits
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
-    print(f"{len(orbits)} orbits", file=out)
-    _emit(
-        (
-            f"{i}\tsize={o.size}\t" + " ".join(f"{p},{n}" for p, n in o.representative)
-            for i, o in enumerate(orbits)
-        ),
-        out,
-    )
-    return 0
-
-
-def cmd_brauer(args, out) -> int:
-    if args.marked_extremal:
-        count = count_marked_extremal_trees(args.edges)
-    else:
-        count = count_brauer_trees(args.edges, args.multiplicity)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "edges": args.edges,
-                    "multiplicity": args.multiplicity,
-                    "marked_extremal": bool(args.marked_extremal),
-                    "count": count,
-                },
-                sort_keys=True,
-            ),
-            file=out,
-        )
-        return 0
-    print(count, file=out)
-    return 0
+def _config(vertices) -> str:
+    """A configuration as TSV: `p,n p,n ...`."""
+    return " ".join(f"{p},{n}" for p, n in vertices)
 
 
 def _render_system(algebra, system):
-    mods = " ".join(f"({m.top},{m.length})" for m in system)
+    mods = " ".join(map(str, system))
     cols = " ".join(algebra.render_factors(m) for m in system)
     return f"{mods}\t{cols}"
 
 
-def cmd_sms(args, out) -> int:
+def cmd_classify(args):
+    t = args.type
+    ok, diag = validate_rfs_type(t)
+    payload = {"type": t.to_json(), "valid": ok, "diagnostic": diag}
+    if not ok:
+        return 1, payload, [f"invalid\t{diag}"]
+    r, zeta = admissible_group(t)
+    payload.update(
+        {
+            "family": family_letter(t),
+            "simples": num_simples(t),
+            "r": r,
+            "torsion_order": zeta.order,
+            "symmetric": is_symmetric_type(t),
+            "nonstandard_counterpart": has_nonstandard_counterpart(t),
+        }
+    )
+    fields = [
+        "valid",
+        f"family ({payload['family']})",
+        f"simples={payload['simples']}",
+        f"r={r}",
+        f"symmetric={'yes' if payload['symmetric'] else 'no'}",
+    ]
+    if payload["nonstandard_counterpart"]:
+        fields.append("nonstandard-counterpart=yes")
+    return 0, payload, ["\t".join(fields)]
+
+
+def cmd_hom(args):
+    q = quotient(args.type)
+    table = quotient_hom_table(q)
+    pairs = [(e, f) for e in q.vertices for f in q.vertices]
+    payload = {
+        "type": str(q.rfs_type),
+        "dims": [[list(e), list(f), table[(e, f)]] for e, f in pairs],
+    }
+    return 0, payload, (f"{e[0]},{e[1]}\t{f[0]},{f[1]}\t{table[(e, f)]}" for e, f in pairs)
+
+
+def cmd_enumerate(args):
+    q = quotient(args.type)
+    configs = enumerate_configurations(q)
+    payload = {
+        "type": str(q.rfs_type),
+        "configurations": [[list(v) for v in c] for c in configs],
+    }
+    return 0, payload, [_config(c) for c in configs]
+
+
+def cmd_orbits(args):
+    q = quotient(args.type)
+    orbits = orbit_decomposition(q, enumerate_configurations(q))
+    payload = {
+        "type": str(q.rfs_type),
+        "orbits": [
+            {"representative": [list(v) for v in o.representative], "size": o.size}
+            for o in orbits
+        ],
+    }
+    lines = [f"{len(orbits)} orbits"]
+    lines += [f"{i}\tsize={o.size}\t{_config(o.representative)}" for i, o in enumerate(orbits)]
+    return 0, payload, lines
+
+
+def cmd_brauer(args):
+    if args.marked_extremal:
+        count = count_marked_extremal_trees(args.edges)
+    else:
+        count = count_brauer_trees(args.edges, args.multiplicity)
+    payload = {
+        "edges": args.edges,
+        "multiplicity": args.multiplicity,
+        "marked_extremal": bool(args.marked_extremal),
+        "count": count,
+    }
+    return 0, payload, [count]
+
+
+def cmd_sms(args):
     algebra = args.algebra
     systems = algebra.all_sms(bound=args.bound)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "algebra": {"simples": algebra.e, "loewy_length": algebra.L},
-            "systems": [[[m.top, m.length] for m in s] for s in systems],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
-    print(f"{len(systems)} systems", file=out)
-    _emit(
-        (f"{i}\t{_render_system(algebra, s)}" for i, s in enumerate(systems)),
-        out,
-    )
-    return 0
+    payload = {"algebra": _algebra(algebra), "systems": [_json_modules(s) for s in systems]}
+    lines = [f"{len(systems)} systems"]
+    lines += [f"{i}\t{_render_system(algebra, s)}" for i, s in enumerate(systems)]
+    return 0, payload, lines
 
 
-def cmd_mutate(args, out) -> int:
+def cmd_mutate(args):
     algebra = args.algebra
     system = _parse_sms(algebra, args.sms)
     subset = _parse_at(algebra, system, args.at)
@@ -281,23 +229,18 @@ def cmd_mutate(args, out) -> int:
             )
     mutate = algebra.mutate_left if args.dir == "left" else algebra.mutate_right
     image = mutate(system, subset)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "algebra": {"simples": algebra.e, "loewy_length": algebra.L},
-            "direction": args.dir,
-            "at": [[m.top, m.length] for m in subset],
-            "system": [[m.top, m.length] for m in system],
-            "image": [[m.top, m.length] for m in image],
-            "columns": [algebra.render_factors(m) for m in image],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
-    print(_render_system(algebra, image), file=out)
-    return 0
+    payload = {
+        "algebra": _algebra(algebra),
+        "direction": args.dir,
+        "at": _json_modules(subset),
+        "system": _json_modules(system),
+        "image": _json_modules(image),
+        "columns": [algebra.render_factors(m) for m in image],
+    }
+    return 0, payload, [_render_system(algebra, image)]
 
 
-def cmd_quiver(args, out) -> int:
+def cmd_quiver(args):
     algebra = args.algebra
     start = _parse_sms(algebra, args.start, "--start")
     q = build_mutation_quiver(
@@ -307,15 +250,14 @@ def cmd_quiver(args, out) -> int:
         allow_composite=args.allow_composite,
         size_bound=args.bound,
     )
-    print(q.to_dot() if args.out == "dot" else q.to_json(), file=out)
-    return 0
+    return 0, None, [q.to_dot() if args.out == "dot" else q.to_json()]
 
 
-def cmd_check(args, out) -> int:
+def cmd_check(args):
     from .acceptance import run as run_acceptance
 
-    results = run_acceptance(args.only, stream=out)
-    return 0 if all(r.passed for r in results) else 1
+    results = run_acceptance(args.only)
+    return (0 if all(r.passed for r in results) else 1), None, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,28 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
         "self-injective algebras, two ways",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
-    p = sub.add_parser("classify", help="validate and describe an RFS type")
+    p = sub.add_parser("classify", help="validate and describe an RFS type", parents=[formatted])
     p.add_argument("type", type=_type_arg, help="type string, e.g. A:5/f=1/t=2")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("hom", help="stable hom dimension table of a quotient")
+    p = sub.add_parser("hom", help="stable hom dimension table of a quotient", parents=[formatted])
     p.add_argument("--type", type=_type_arg, required=True)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_hom)
 
-    p = sub.add_parser("enumerate", help="list all configurations")
+    p = sub.add_parser("enumerate", help="list all configurations", parents=[formatted])
     p.add_argument("--type", type=_type_arg, required=True)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("orbits", help="configuration orbits under automorphisms")
+    p = sub.add_parser(
+        "orbits", help="configuration orbits under automorphisms", parents=[formatted]
+    )
     p.add_argument("--type", type=_type_arg, required=True)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_orbits)
 
-    p = sub.add_parser("brauer", help="count Brauer trees")
+    p = sub.add_parser("brauer", help="count Brauer trees", parents=[formatted])
     p.add_argument("--edges", type=_positive_int_arg, required=True)
     p.add_argument("--multiplicity", type=_positive_int_arg, default=1)
     p.add_argument(
@@ -354,22 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count multiplicity-one trees with a chosen extremal vertex",
     )
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_brauer)
 
-    p = sub.add_parser("sms", help="list all simple-minded systems")
+    p = sub.add_parser("sms", help="list all simple-minded systems", parents=[formatted])
     p.add_argument("--algebra", type=_algebra_arg, required=True, help="nakayama:e:L")
     p.add_argument("--bound", type=_positive_int_arg, default=24)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_sms)
 
-    p = sub.add_parser("mutate", help="mutate a system at a Nakayama-stable subset")
+    p = sub.add_parser(
+        "mutate", help="mutate a system at a Nakayama-stable subset", parents=[formatted]
+    )
     p.add_argument("--algebra", type=_algebra_arg, required=True)
     p.add_argument("--sms", required=True, help="`simples` or top:length pairs")
     p.add_argument("--at", required=True, help="tops or top:length pairs")
     p.add_argument("--dir", choices=("left", "right"), default="left")
     p.add_argument("--allow-composite", action="store_true")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(fn=cmd_mutate)
 
     p = sub.add_parser("quiver", help="mutation quiver by BFS")
@@ -392,7 +333,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        code, payload, lines = args.fn(args)
+        if getattr(args, "format", "tsv") == "json":
+            lines = [json.dumps({"schema": 1, **payload}, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return code
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except BrokenPipeError:

@@ -13,8 +13,8 @@ are the eight standard families
     (h) (E_6, s, 2)              s >= 1
 
 plus the non-standard counterparts of (D_{3m}, 1/3, 1), which share the
-same triple (and the same quiver combinatorics) and are tracked with a
-`standard` flag only.
+same triple (and the same quiver combinatorics) and are only reported by
+`has_nonstandard_counterpart`.
 
 Node numbering: A_n is the path 1..n; D_n has spine 1..n-2 and fork tips
 n-1, n attached to n-2; E_6/E_7/E_8 use Bourbaki numbering (node 2 hangs
@@ -29,7 +29,6 @@ automorphisms are lifted from the same table (`ztquiver.automorphisms`).
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import permutations
@@ -159,14 +158,13 @@ def tree_automorphisms(graph: DynkinGraph) -> list[GraphAutomorphism]:
 class RfsType(Value):
     """Classification triple (tree class, frequency, torsion order)."""
 
-    __slots__ = ("graph", "frequency", "torsion", "standard")
+    __slots__ = ("graph", "frequency", "torsion")
     graph: DynkinGraph
     frequency: Fraction
     torsion: int
-    standard: bool
 
-    def __init__(self, graph: DynkinGraph, frequency, torsion: int, standard: bool = True):
-        super().__init__(graph, Fraction(frequency), torsion, standard)
+    def __init__(self, graph: DynkinGraph, frequency, torsion: int):
+        super().__init__(graph, Fraction(frequency), torsion)
 
     @property
     def coxeter(self) -> int:
@@ -177,15 +175,12 @@ class RfsType(Value):
         return f"{g.family}:{g.rank}/f={self.frequency}/t={self.torsion}"
 
     def to_json(self) -> dict:
-        d = {
+        return {
             "family": self.graph.family,
             "rank": self.graph.rank,
             "frequency": str(self.frequency),
             "torsion": self.torsion,
         }
-        if not self.standard:
-            d["standard"] = False
-        return d
 
 
 def validate_rfs_type(t: RfsType) -> tuple[bool, str]:
@@ -208,50 +203,44 @@ def validate_rfs_type(t: RfsType) -> tuple[bool, str]:
             s = f * n
             if s.denominator != 1:
                 return False, f"n*f = {s} is not an integer (need f = s/n)"
-            return _finish(t, "a")
+            return True, "family (a)"
         if tor == 2:
             if f.denominator != 1:
                 return False, "torsion-2 A-types need integer frequency"
             if n % 2 == 0 or n < 3:
                 return False, "torsion-2 A-types need odd rank >= 3"
-            return _finish(t, "b")
+            return True, "family (b)"
         return False, "A-types have no torsion-3 automorphism"
     if g.family == "D":
         if tor == 1:
             if f.denominator == 1:
-                return _finish(t, "c")
+                return True, "family (c)"
             if f.denominator == 3 and n % 3 == 0 and n >= 6:
-                return _finish(t, "d")
+                return True, "family (d)"
             if f.denominator == 3:
                 return False, "(D,s/3,1) needs rank 3m with m >= 2"
             return False, "D-type frequency must be an integer or s/3 with 3 not dividing s"
         if tor == 2:
             if f.denominator != 1:
                 return False, "torsion-2 D-types need integer frequency"
-            return _finish(t, "e")
+            return True, "family (e)"
         if n != 4:
             return False, "torsion 3 requires D4"
         if f.denominator != 1:
             return False, "torsion-3 D4 types need integer frequency"
-        return _finish(t, "f")
+        return True, "family (f)"
     # E family
     if tor == 1:
         if f.denominator != 1:
             return False, "E-type frequency must be an integer"
-        return _finish(t, "g")
+        return True, "family (g)"
     if tor == 2:
         if n != 6:
             return False, "among E-types only E6 has torsion 2"
         if f.denominator != 1:
             return False, "torsion-2 E6 types need integer frequency"
-        return _finish(t, "h")
+        return True, "family (h)"
     return False, "E-types have no torsion-3 automorphism"
-
-
-def _finish(t: RfsType, family: str) -> tuple[bool, str]:
-    if not t.standard and not has_nonstandard_counterpart(t):
-        return False, "only (D_{3m},1/3,1) has a non-standard counterpart"
-    return True, f"family ({family})"
 
 
 def _require_valid(t: RfsType) -> str:
@@ -325,14 +314,3 @@ def parse_type(text: str) -> RfsType:
         raise InvalidTypeError(f"cannot parse type string {text!r}")
     fam, rank, freq, tor = m.groups()
     return RfsType(DynkinGraph(fam, int(rank)), Fraction(freq), int(tor))
-
-
-def type_from_json(obj) -> RfsType:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return RfsType(
-        DynkinGraph(obj["family"], int(obj["rank"])),
-        Fraction(obj["frequency"]),
-        int(obj["torsion"]),
-        bool(obj.get("standard", True)),
-    )

@@ -28,9 +28,9 @@ from fractions import Fraction
 class SpanTracker:
     """Incrementally maintained row space in reduced echelon form.
 
-    Supports rank queries, membership tests and reduction of a vector
-    modulo the tracked span.  Inserts are idempotent: adding a vector
-    already in the span is a no-op.
+    Supports rank queries and reduction of a vector modulo the tracked
+    span.  Inserts are idempotent: adding a vector already in the span is
+    a no-op.
     """
 
     def __init__(self, ncols: int):
@@ -74,9 +74,6 @@ class SpanTracker:
         self.rows.insert(at, v)
         self.pivots.insert(at, piv)
         return True
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
 
     def free_columns(self) -> list[int]:
         pivset = set(self.pivots)

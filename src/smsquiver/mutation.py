@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .nakayama import Multiset, NakayamaAlgebra, SerialModule, _canon
+from .nakayama import Multiset, NakayamaAlgebra, _canon, _json_modules
 from .values import Value
 
 
@@ -60,9 +60,7 @@ class MutationQuiver(Value):
             {
                 "schema": 1,
                 "algebra": {"simples": self.algebra_key[0], "loewy_length": self.algebra_key[1]},
-                "vertices": [
-                    [[m.top, m.length] for m in v] for v in self.vertices
-                ],
+                "vertices": [_json_modules(v) for v in self.vertices],
                 "arrows": [list(a) for a in self.arrows],
             },
             sort_keys=True,
@@ -70,7 +68,7 @@ class MutationQuiver(Value):
 
     def to_dot(self) -> str:
         def name(v):
-            return ",".join(f"({m.top},{m.length})" for m in v)
+            return ",".join(map(str, v))
 
         lines = [f'digraph "sms-mutation-N{self.algebra_key}" {{']
         for v in self.vertices:
@@ -85,17 +83,6 @@ class MutationQuiver(Value):
         return "\n".join(lines)
 
 
-def from_json(text: str) -> MutationQuiver:
-    raw = json.loads(text)
-    verts = tuple(
-        _canon(SerialModule(t, l) for t, l in v) for v in raw["vertices"]
-    )
-    arrows = tuple((a[0], a[1], a[2], a[3]) for a in raw["arrows"])
-    return MutationQuiver(
-        (raw["algebra"]["simples"], raw["algebra"]["loewy_length"]), verts, arrows
-    )
-
-
 def build_mutation_quiver(
     algebra: NakayamaAlgebra,
     start,
@@ -108,7 +95,10 @@ def build_mutation_quiver(
     Irreducible mutations run over single Nakayama orbits; with
     `allow_composite` every nonempty Nakayama-stable subset is used.  The
     search ends because every image is a system of the algebra, and there
-    are finitely many.
+    are finitely many.  Each subset is a union of Nakayama orbits of the
+    system, so the moves skip the argument checks of `mutate_left` and
+    `mutate_right`; each vertex is checked to be a system once, when it is
+    found.
     """
     if direction not in ("left", "right", "both"):
         raise ValueError("direction must be left, right or both")
@@ -134,9 +124,9 @@ def build_mutation_quiver(
             if direction in ("right", "both"):
                 moves.extend(("right", sub) for sub in subsets)
             for dirn, sub in moves:
-                mutate = algebra.mutate_left if dirn == "left" else algebra.mutate_right
-                image = mutate(system, sub)
+                image = algebra._mutate(system, sub, dirn)
                 if image not in index:
+                    algebra._require_sms(image)
                     index[image] = len(vertices)
                     vertices.append(image)
                     nxt.append(image)
@@ -154,26 +144,3 @@ def build_mutation_quiver(
         sorted((rename[s], rename[t], label, dirn) for s, t, label, dirn in arrows)
     )
     return MutationQuiver((algebra.e, algebra.L), verts, arr)
-
-
-def is_strongly_connected(q: MutationQuiver) -> bool:
-    n = len(q.vertices)
-    if n == 0:
-        return True
-    fwd: dict[int, set[int]] = {i: set() for i in range(n)}
-    back: dict[int, set[int]] = {i: set() for i in range(n)}
-    for s, t, _, _ in q.arrows:
-        fwd[s].add(t)
-        back[t].add(s)
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    return reach(fwd) and reach(back)

@@ -119,6 +119,11 @@ def _canon(mods) -> Multiset:
     return tuple(sorted(mods))
 
 
+def _json_modules(mods) -> list[list[int]]:
+    """A module list as JSON: `[[top, length], ...]`."""
+    return [[m.top, m.length] for m in mods]
+
+
 class NakayamaAlgebra:
     """Model of N(e, L); immutable after construction, caches fill idempotently."""
 
@@ -529,22 +534,38 @@ class NakayamaAlgebra:
             self._middles_cache[key] = cached
         return cached
 
+    def _require_sms(self, system: Multiset):
+        if not self.is_sms(system):
+            raise NotAnSmsError(f"{[str(m) for m in system]} is not an sms")
+
     def _check_mutation_args(self, system, subset):
         system = _canon(system)
         subset = _canon(subset)
         if not set(subset) <= set(system):
             raise NotAnSmsError("mutation subset must lie inside the system")
-        if not self.is_sms(system):
-            raise NotAnSmsError(f"{[str(m) for m in system]} is not an sms")
+        self._require_sms(system)
         if _canon(self.nu(m) for m in subset) != subset:
             raise NuStabilityError("mutation subset is not Nakayama-stable")
         return system, subset
 
     def mutate_left(self, system, subset) -> Multiset:
         """Left mutation: shift the subset by Omega^{-1}, cone off the rest."""
-        return self._mutate_left_body(*self._check_mutation_args(system, subset))
+        return self._mutate(*self._check_mutation_args(system, subset), "left")
 
-    def _mutate_left_body(self, system: Multiset, subset: Multiset) -> Multiset:
+    def mutate_right(self, system, subset) -> Multiset:
+        """Right mutation: shift the subset by Omega, cocone off the rest."""
+        return self._mutate(*self._check_mutation_args(system, subset), "right")
+
+    def _mutate(self, system: Multiset, subset: Multiset, direction: str) -> Multiset:
+        """Mutation of a canonical system at a canonical Nakayama-stable subset
+        of it, unchecked.
+
+        D reverses triangles and swaps Omega with Omega^{-1}, so right
+        mutation at X is D of left mutation of D(system) at D(X).
+        """
+        if direction == "right":
+            left = self._mutate(self._dual_all(system), self._dual_all(subset), "left")
+            return self._dual_all(left)
         closure = self.ext_closure(subset)
         out = []
         for m in system:
@@ -557,16 +578,6 @@ class NakayamaAlgebra:
             else:
                 out.append(self._sole_nonprojective(self._pushout_middle(m, copies)))
         return _canon(out)
-
-    def mutate_right(self, system, subset) -> Multiset:
-        """Right mutation: shift the subset by Omega, cocone off the rest.
-
-        D reverses triangles and swaps Omega with Omega^{-1}, so right
-        mutation at X is D of left mutation of D(system) at D(X).
-        """
-        system, subset = self._check_mutation_args(system, subset)
-        dual = self._mutate_left_body(self._dual_all(system), self._dual_all(subset))
-        return self._dual_all(dual)
 
     # --- transport to mesh coordinates -----------------------------------
 

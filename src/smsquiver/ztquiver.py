@@ -70,10 +70,6 @@ class _Steps:
 _steps = cache(_Steps)
 
 
-def t_grade(graph: DynkinGraph, v: ZVert) -> int:
-    return 2 * v[0] + graph.depth(v[1])
-
-
 class Window(Value):
     """Finite slice {(p,q) : p_min <= p <= p_max} of ZQ."""
 

@@ -1,10 +1,11 @@
 """Rank and kernel over the rationals, kept as brute-force references.
 
 The package ranks nothing outside the mesh oracle's `SpanTracker`; the
-tests use these two to build explicit hom spaces and to cross-check
-`integer_rank`.  `FractionSpanTracker` is the tracker as it was before
-unit pivots kept integer rows: it divides every new row by its pivot, so
-its rows are all Fractions.  The references below rank with it, and
+tests use `rank` and `nullspace` to build explicit hom spaces and to
+cross-check `integer_rank`, and `contains` to test span membership.
+`FractionSpanTracker` is the tracker as it was before unit pivots kept
+integer rows: it divides every new row by its pivot, so its rows are all
+Fractions.  The references below rank with it, and
 `SpanTracker` is checked against it.
 """
 
@@ -32,6 +33,11 @@ class FractionSpanTracker(SpanTracker):
         self.rows.insert(at, v)
         self.pivots.insert(at, piv)
         return True
+
+
+def contains(tracker: SpanTracker, vec) -> bool:
+    """Whether `vec` lies in the span `tracker` holds."""
+    return all(x == 0 for x in tracker.reduce(vec))
 
 
 def rank(rows, ncols: int) -> int:

@@ -15,7 +15,11 @@ step table `ztquiver._steps`.
 from linalg_reference import FractionSpanTracker
 
 from smsquiver.dynkin import coxeter_number
-from smsquiver.ztquiver import t_grade
+
+
+def t_grade(graph, v):
+    """Grade of a vertex of ZQ: every arrow raises it by one."""
+    return 2 * v[0] + graph.depth(v[1])
 
 
 def arrows_out(graph, v):

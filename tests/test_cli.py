@@ -94,6 +94,35 @@ def test_enumerate_golden():
     assert out == (GOLDEN / "enumerate_a3_f1_t2.tsv").read_text()
 
 
+@pytest.mark.parametrize(
+    "name,argv,code",
+    [
+        ("classify_a5_f1_t2.json", "classify A:5/f=1/t=2 --format json", 0),
+        ("classify_e7_f1_t2.json", "classify E:7/f=1/t=2 --format json", 1),
+        ("hom_a2_f1_t1.json", "hom --type A:2/f=1/t=1 --format json", 0),
+        ("orbits_d4_f1_t1.json", "orbits --type D:4/f=1/t=1 --format json", 0),
+        ("orbits_d4_f1_t1.tsv", "orbits --type D:4/f=1/t=1", 0),
+        ("brauer_e4_m2.json", "brauer --edges 4 --multiplicity 2 --format json", 0),
+        ("sms_n3_4.json", "sms --algebra nakayama:3:4 --format json", 0),
+        ("sms_n3_4.tsv", "sms --algebra nakayama:3:4", 0),
+        (
+            "mutate_n4_5_left.json",
+            "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite --format json",
+            0,
+        ),
+        (
+            "mutate_n4_5_right.tsv",
+            "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite --dir right",
+            0,
+        ),
+        ("quiver_n3_4_both.json", "quiver --algebra nakayama:3:4 --dir both --out json", 0),
+        ("quiver_n3_4_both.dot", "quiver --algebra nakayama:3:4 --dir both", 0),
+    ],
+)
+def test_output_golden(name, argv, code):
+    assert run_cli(*argv.split()) == (code, (GOLDEN / name).read_text())
+
+
 def test_enumerate_json_exact_strings():
     code, out = run_cli("enumerate", "--type", "A:2/f=1/2/t=1", "--format", "json")
     payload = json.loads(out)

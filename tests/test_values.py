@@ -32,13 +32,13 @@ CASES = [
     (
         RfsType(DynkinGraph("A", 2), 1, 1),
         "RfsType(graph=DynkinGraph(family='A', rank=2), frequency=Fraction(1, 1), "
-        "torsion=1, standard=True)",
+        "torsion=1)",
     ),
     (Window(A3, 0, 1), "Window(graph=DynkinGraph(family='A', rank=3), p_min=0, p_max=1)"),
     (
         quotient(parse_type("A:1/f=2/t=1")),
         "StableTranslationQuiver(rfs_type=RfsType(graph=DynkinGraph(family='A', rank=1), "
-        "frequency=Fraction(2, 1), torsion=1, standard=True), r=2, "
+        "frequency=Fraction(2, 1), torsion=1), r=2, "
         "zeta=GraphAutomorphism(graph=DynkinGraph(family='A', rank=1), mapping=(1,)), "
         "vertices=((0, 1), (1, 1)), arrows=(), tau={(0, 1): (1, 1), (1, 1): (0, 1)})",
     ),
@@ -143,13 +143,10 @@ def test_serial_modules_sort_by_top_then_length():
         a < (1, 3)
 
 
-def test_rfs_type_coerces_frequency_and_defaults_to_standard():
+def test_rfs_type_coerces_frequency():
     t = RfsType(A3, 1, 1)
     assert type(t.frequency) is Fraction and t.frequency == 1
-    assert t.standard is True
     assert RfsType(A3, "1/3", 1).frequency == Fraction(1, 3)
-    ns = RfsType(A3, 1, 1, standard=False)
-    assert ns.standard is False and ns != t
 
 
 def test_validation_still_raises():

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from meshcat_reference import arrows_in, arrows_out
+from meshcat_reference import arrows_in, arrows_out, t_grade
 
 from smsquiver.configs import _type_grid
 from smsquiver.dynkin import DynkinGraph, parse_type
@@ -16,7 +16,6 @@ from smsquiver.ztquiver import (
     _check_mesh_symmetry,
     automorphisms,
     quotient,
-    t_grade,
 )
 
 
