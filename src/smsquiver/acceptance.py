@@ -134,7 +134,10 @@ def criterion_4() -> tuple[bool, str]:
     Configuration classes modulo quiver automorphisms match the Brauer
     tree counts (raw configuration counts are strictly larger, e.g. 2
     configurations at A2 versus one tree); the count is 1 exactly for one
-    edge or for the pair (2,1).
+    edge or for the pair (2,1).  On the module side N(e, em + 1) is the
+    Brauer star algebra with e edges and multiplicity m, and its systems up
+    to <tau, Omega> are counted by the Brauer trees with e edges and
+    multiplicity m, for every e*e*m <= 30 with m <= 4.
     """
     details = []
     for n in range(1, 5):
@@ -144,6 +147,16 @@ def criterion_4() -> tuple[bool, str]:
         details.append(f"A{n}: {orbits} classes = {trees} trees")
         if orbits != trees:
             return False, f"A{n}: {orbits} orbit classes but {trees} Brauer trees"
+    stars = [(e, m) for e in range(1, 6) for m in range(1, 5) if e * e * m <= 30]
+    for e, m in stars:
+        A = NakayamaAlgebra(e, e * m + 1)
+        symmetries = A._symmetries()
+        systems = A.all_sms(bound=30)
+        orbits = len({min(tuple(sorted(g[x] for x in s)) for g in symmetries) for s in systems})
+        trees = count_brauer_trees(e, m)
+        if orbits != trees:
+            return False, f"N({e},{e * m + 1}): {orbits} system orbits but {trees} Brauer trees"
+    details.append(f"{len(stars)} stars N(e,em+1): system orbits = trees")
     for d in range(1, 5):
         for m in range(1, 5):
             count = count_brauer_trees(d, m)

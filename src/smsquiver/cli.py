@@ -10,7 +10,8 @@ JSON renders all exact numbers as strings.  Identical invocations produce
 byte-identical output.  Errors exit with code 1 and a one-line
 `error: <Kind>: <message>` on stderr; bad arguments exit 2, including
 `--sms`, `--start` and `--at`, which are parsed against the algebra once
-the command runs.
+the command runs, and a `brauer --multiplicity` other than 1 given with
+`--marked-extremal`.
 """
 
 from __future__ import annotations
@@ -196,6 +197,11 @@ def cmd_orbits(args):
 
 def cmd_brauer(args):
     if args.marked_extremal:
+        if args.multiplicity != 1:
+            raise argparse.ArgumentTypeError(
+                f"argument --multiplicity: --marked-extremal counts multiplicity-one trees, "
+                f"got {args.multiplicity}"
+            )
         count = count_marked_extremal_trees(args.edges)
     else:
         count = count_brauer_trees(args.edges, args.multiplicity)

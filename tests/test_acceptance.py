@@ -98,3 +98,13 @@ def test_check_9_names_the_first_tau_failure(monkeypatch, targets):
     result = acceptance.criterion_9()
     assert result == double_loop_criterion_9()
     assert result == (False, f"A3: tau-equivariance fails (2, 1)->{targets[0]}")
+
+
+def test_check_4_compares_star_orbits_with_tree_counts(monkeypatch):
+    passed, detail = acceptance.criterion_4()
+    assert passed and "; 13 stars N(e,em+1): system orbits = trees;" in detail
+    # one tree too many at every multiplicity m >= 2: the first star with
+    # m = 2, N(1, 3), has one orbit of systems
+    count = acceptance.count_brauer_trees
+    monkeypatch.setattr(acceptance, "count_brauer_trees", lambda d, m: count(d, m) + (m > 1))
+    assert acceptance.criterion_4() == (False, "N(1,3): 1 system orbits but 2 Brauer trees")

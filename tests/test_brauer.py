@@ -1,14 +1,41 @@
+import itertools
 from math import comb, gcd
 
 import pytest
 
-from smsquiver.brauer import (
-    _center,
-    _tree_graph,
-    count_brauer_trees,
-    count_marked_extremal_trees,
-    rooted_plane_trees,
-)
+from smsquiver.brauer import count_brauer_trees, count_marked_extremal_trees, dyck_words
+
+
+def rooted_plane_trees(edges):
+    """All rooted plane trees with `edges` edges as nested child tuples."""
+    if edges == 0:
+        yield ()
+        return
+    for first_size in range(edges):
+        for child in rooted_plane_trees(first_size):
+            for rest in rooted_plane_trees(edges - 1 - first_size):
+                yield (child,) + rest
+
+
+def tree_graph(tree):
+    """Adjacency with cyclic neighbor order; vertex 0 is the root."""
+    neighbors = {0: []}
+    counter = itertools.count(1)
+
+    def walk(node_id, children):
+        for child in children:
+            cid = next(counter)
+            neighbors[node_id].append(cid)
+            neighbors[cid] = [node_id]
+            walk(cid, child)
+
+    walk(0, tree)
+    return neighbors
+
+
+def tree_word(tree):
+    """The Dyck word of a nested-tuple tree: each child is (its word)."""
+    return "".join(f"({tree_word(child)})" for child in tree)
 
 
 def nested_encoding(neighbors, root, first, marked=None):
@@ -43,7 +70,7 @@ def reference_counts(edges):
     isomorphism, deduplicated by the all-roots encoding."""
     classes = {}
     for tree in rooted_plane_trees(edges):
-        neighbors = _tree_graph(tree)
+        neighbors = tree_graph(tree)
         classes.setdefault(all_roots_canonical(neighbors), neighbors)
     marked = set()
     extremal = set()
@@ -58,6 +85,8 @@ def reference_counts(edges):
 
 @pytest.mark.parametrize("edges", range(1, 9))
 def test_center_rooted_counts_match_all_roots_reference(edges):
+    """The orbit counts on Dyck words match classes found by encoding each
+    nested-tuple tree from every root and rotation."""
     unmarked, marked, extremal = reference_counts(edges)
     assert count_brauer_trees(edges, 1) == unmarked
     assert count_brauer_trees(edges, 2) == count_brauer_trees(edges, 3) == marked
@@ -68,10 +97,12 @@ def totient(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-@pytest.mark.parametrize("edges", range(1, 10))
+@pytest.mark.parametrize(
+    "edges", [pytest.param(12, marks=pytest.mark.slow) if d == 12 else d for d in range(1, 13)]
+)
 def test_marked_counts_fit_the_necklace_formula(edges):
     # plane trees with a marked vertex: (1/2n) sum_{d | n} phi(n/d) C(2d, d),
-    # OEIS A003239 (1, 2, 4, 10, 26, 80, 246, 810, 2704)
+    # OEIS A003239 (1, 2, 4, 10, 26, 80, 246, 810, 2704, 9252, 32066, 112720)
     total = sum(totient(edges // d) * comb(2 * d, d) for d in range(1, edges + 1) if edges % d == 0)
     assert total % (2 * edges) == 0
     assert count_brauer_trees(edges, 2) == total // (2 * edges)
@@ -84,34 +115,27 @@ def test_marked_leaf_counts_are_catalan(edges):
     assert count_marked_extremal_trees(edges) == comb(2 * edges - 2, edges - 1) // edges
 
 
-def eccentricity(neighbors, v):
-    seen, frontier, depth = {v}, [v], 0
-    while True:
-        frontier = [w for u in frontier for w in neighbors[u] if w not in seen]
-        if not frontier:
-            return depth
-        seen.update(frontier)
-        depth += 1
-
-
-def test_center_minimizes_eccentricity():
-    for edges in range(0, 7):
-        for tree in rooted_plane_trees(edges):
-            neighbors = _tree_graph(tree)
-            ecc = {v: eccentricity(neighbors, v) for v in neighbors}
-            least = min(ecc.values())
-            assert sorted(_center(neighbors)) == [v for v in ecc if ecc[v] == least]
+def test_dyck_words_are_the_rooted_plane_trees():
+    for n in range(9):
+        words = list(dyck_words(n))
+        assert len(set(words)) == len(words)
+        assert sorted(words) == sorted(map(tree_word, rooted_plane_trees(n)))
 
 
 def test_rooted_trees_are_counted_by_catalan():
     for n in range(8):
-        assert sum(1 for _ in rooted_plane_trees(n)) == comb(2 * n, n) // (n + 1)
+        assert sum(1 for _ in dyck_words(n)) == comb(2 * n, n) // (n + 1)
 
 
-def test_unmarked_counts_regression():
-    # plane trees with d edges up to rotation-preserving isomorphism,
-    # hand-checked through d = 4 (path/star/T) and frozen beyond
-    assert [count_brauer_trees(d, 1) for d in range(1, 7)] == [1, 1, 2, 3, 6, 14]
+# plane trees with 1, ..., 12 edges up to isomorphism, OEIS A002995
+A002995 = (1, 1, 2, 3, 6, 14, 34, 95, 280, 854, 2694, 8714)
+
+
+@pytest.mark.parametrize(
+    "edges", [pytest.param(12, marks=pytest.mark.slow) if d == 12 else d for d in range(1, 13)]
+)
+def test_unmarked_counts_are_oeis_a002995(edges):
+    assert count_brauer_trees(edges, 1) == A002995[edges - 1]
 
 
 def test_single_edge_is_unique_for_every_multiplicity():

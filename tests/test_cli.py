@@ -138,6 +138,23 @@ def test_brauer_count():
     assert (code, out.strip()) == (0, "1")
 
 
+def test_brauer_marked_extremal_rejects_other_multiplicities(capsys):
+    # marked-extremal counts are multiplicity-one counts; under another
+    # multiplicity they would be printed with the wrong label
+    argv = "brauer --edges 4 --multiplicity 3 --marked-extremal --format json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "smsquiver: error: argument --multiplicity: --marked-extremal counts "
+        "multiplicity-one trees, got 3"
+    )
+    argv = "brauer --edges 4 --multiplicity 1 --marked-extremal"
+    assert run_cli(*argv.split()) == (0, "5\n")
+
+
 def test_sms_listing():
     code, out = run_cli("sms", "--algebra", "nakayama:2:3")
     lines = out.splitlines()
