@@ -19,12 +19,14 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   (see _pushout_middle);
 * extension closures are decided in two tiers: a sound fixpoint closure
   under layer steps whose middle is one strand plus projectives proves
-  membership, and hom-vanishing certificates prove non-membership; a
-  query neither tier decides raises GenerationUndecided.  The fixpoint
-  stops as soon as it holds every non-projective indecomposable, and then
-  no certificate is needed.  A candidate system S generates exactly when
-  its closure is everything, so is_sms decides generation through
-  ext_closure (see NakayamaAlgebra.ext_closure);
+  membership from the pushouts of classes nonzero on every summand (no
+  other class adds a strand), and hom-vanishing certificates prove
+  non-membership; a query neither tier decides raises
+  GenerationUndecided.  The fixpoint stops as soon as it holds every
+  non-projective indecomposable, and then no certificate is needed.  A
+  candidate system S generates exactly when its closure is everything,
+  so is_sms decides generation through ext_closure (see
+  NakayamaAlgebra.ext_closure);
 * each closure is computed once per algebra and subset, and also
   answers its mirror image: D carries extension-closed
   subcategories to extension-closed subcategories, so the closure of
@@ -338,17 +340,26 @@ class NakayamaAlgebra:
         system member, is a non-projective indecomposable, so a closure of
         e(L-1) members holds them all and cannot grow: the worklist stops
         there.
+
+        Only classes that are nonzero on every summand of the sub-object are
+        built, one pushout per full depth vector.  This loses no strand: a
+        class that is zero on a summand y leaves y as its own non-projective
+        strand, so its middle either has two strands or is the single strand
+        y, which is already in the closure.
         """
         full = self.e * (self.L - 1)
         closure = set(system)
         work = list(system)
         taken: list[SerialModule] = []
+        syzygies = [(z, self.omega(z)) for z in system]
         while work and len(closure) < full:
             x = work.pop()
             taken.append(x)
             for sub in [(x,)] + [_canon((x, y)) for y in taken]:
-                for z in system:
-                    for middle in self.extension_middles(sub, z):
+                for z, om in syzygies:
+                    bases = [self.stable_hom_basis(om, m) for m in sub]
+                    for depths in itertools.product(*bases):
+                        middle = self._pushout_middle(z, tuple(zip(sub, depths)))
                         strands = self._strip_projectives(middle)
                         if len(strands) == 1 and strands[0] not in closure:
                             closure.add(strands[0])
@@ -511,6 +522,10 @@ class NakayamaAlgebra:
         component by component up to automorphisms of the ends, to depth
         maps from the stable bases; one pushout per depth vector lists
         every middle.
+
+        The package no longer calls this: _single_strand_closure builds only
+        the full-support pushouts itself.  It stays as the tests' reference
+        closure and as a name the benchmark tracer counts.
         """
         key = (_canon(sub), quot)
         cached = self._middles_cache.get(key)

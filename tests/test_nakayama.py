@@ -643,14 +643,49 @@ def reference_single_strand_closure(A, system):
 
 
 def test_worklist_closure_matches_full_passes():
+    """The closures all_sms and mutate ask for: the orthogonal candidates
+    with e(L-1) <= 16, and with e(L-1) <= 12 every nonempty orthogonal
+    subset, which holds each nu-stable subset of every system."""
+    from smsquiver.mutation import _nu_stable_subsets, nu_orbit_partition
+
     checked = 0
     for A in algebras_up_to(16):
-        for cand in A.orthogonal_candidates():
-            assert A._single_strand_closure(cand) == reference_single_strand_closure(
-                A, cand
-            ), (A, cand)
+        subsets = A.orthogonal_candidates()
+        if A.e * (A.L - 1) <= 12:
+            subsets = [S for S in orthogonal_subsets(A) if S]
+            asked = {
+                X for S in A.all_sms() for X in _nu_stable_subsets(nu_orbit_partition(A, S))
+            }
+            assert asked <= set(subsets), A
+        for S in subsets:
+            assert A._single_strand_closure(S) == reference_single_strand_closure(A, S), (A, S)
             checked += 1
-    assert checked > 0
+    assert checked == 8979
+
+
+MID_SIZE_ALGEBRAS = [A for A in algebras_up_to(24) if A.e * (A.L - 1) > 16]
+
+
+@functools.cache
+def candidates_of(A):
+    return A.orthogonal_candidates()
+
+
+@st.composite
+def mid_size_orthogonal_subsets(draw):
+    """A candidate of some N(e, L) with 16 < e(L-1) <= 24, or a nonempty
+    subset of one; the whole candidate is the simplest draw."""
+    A = draw(st.sampled_from(MID_SIZE_ALGEBRAS))
+    cand = draw(st.sampled_from(candidates_of(A)))
+    keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
+    return A, tuple(m for m, k in zip(cand, keep) if k) or cand
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mid_size_orthogonal_subsets())
+def test_worklist_closure_matches_full_passes_past_the_sweep(case):
+    A, S = case
+    assert A._single_strand_closure(S) == reference_single_strand_closure(A, S), (A, S)
 
 
 def test_single_strand_closure_of_every_system_is_everything():
