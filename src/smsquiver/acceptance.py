@@ -120,7 +120,7 @@ def criterion_3() -> tuple[bool, str]:
     rows = []
     for text, expected in ORBIT_CASES:
         q = quotient(parse_type(text))
-        orbits = orbit_decomposition(q, enumerate_configurations(q))
+        orbits = orbit_decomposition(q)
         rows.append((text, len(orbits), expected))
     bad = [r for r in rows if r[1] != r[2]]
     if bad:
@@ -142,7 +142,7 @@ def criterion_4() -> tuple[bool, str]:
     details = []
     for n in range(1, 5):
         q = quotient(parse_type(f"A:{n}/f=1/t=1"))
-        orbits = len(orbit_decomposition(q, enumerate_configurations(q)))
+        orbits = len(orbit_decomposition(q))
         trees = count_brauer_trees(n, 1)
         details.append(f"A{n}: {orbits} classes = {trees} trees")
         if orbits != trees:

@@ -182,7 +182,7 @@ def cmd_enumerate(args):
 
 def cmd_orbits(args):
     q = quotient(args.type)
-    orbits = orbit_decomposition(q, enumerate_configurations(q))
+    orbits = orbit_decomposition(q)
     payload = {
         "type": str(q.rfs_type),
         "orbits": [

@@ -3,15 +3,32 @@
 A configuration is a vertex subset that is hom-orthogonal in the mesh
 category of the quotient (one-dimensional endomorphisms, no homs between
 distinct members) and covers every vertex (each vertex admits a nonzero
-hom into some member).  Enumeration keeps one Python-int bit mask per
-candidate for its orthogonal partners and one per vertex for the
-candidates it covers.  Each search node branches on the uncovered vertex
-with the fewest coverers left: branch i takes its i-th coverer and drops
-the earlier ones, so every configuration is reached once, through its
-first coverer of that vertex, and a vertex left with no coverer cuts the
-branch.  The cardinality of every configuration equals the simple count
-of the type: it caps the search, and a covering reached with fewer
-members raises `CardinalityError`.
+hom into some member).  Configurations are searched once per orbit of
+the automorphism group G of the quiver, in `orbit_decomposition`;
+`enumerate_configurations` lists the members of all orbits.
+
+The search keeps one Python-int bit mask per candidate for its
+orthogonal partners and one per vertex for the candidates it covers,
+both read off the nonzero entries of the quotient hom table in one pass.
+It walks the candidates in (node, level) order, and each candidate
+outside the G-orbits of earlier anchors becomes an anchor.  The branch
+of an anchor finds the configurations that contain it and no vertex of
+an earlier anchor's orbit.  Each search node branches on the uncovered
+vertex with the fewest coverers left: branch i takes its i-th coverer
+and drops the earlier ones, and a vertex left with no coverer cuts the
+branch.  Each find not seen before expands into its G-orbit, which
+becomes one `Orbit`.
+
+Soundness: automorphisms keep quotient hom dimensions, hence
+orthogonality and covering, and they keep each vertex G-orbit.  For a
+configuration C, let O be the first anchor orbit that meets C, and phi
+in G a map sending a member of C in O to O's anchor.  Then phi(C)
+contains the anchor and avoids the earlier anchor orbits, so the
+anchor's branch finds it, and the orbit of C is reached.  The
+cardinality of every configuration equals the simple count of the type:
+it caps the search, and a covering reached with fewer members raises
+`CardinalityError`; by the same argument any such covering has an image
+in some anchored branch, so the check still fires.
 """
 
 from __future__ import annotations
@@ -52,29 +69,51 @@ class CardinalityError(RuntimeError):
     type has simples."""
 
 
+class Orbit(Value):
+    __slots__ = ("representative", "size", "members")
+    representative: Config
+    size: int
+    members: tuple[Config, ...]
+
+
 def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
-    """All configurations, canonically sorted."""
+    """All configurations, canonically sorted: the members of every orbit."""
+    return sorted(c for o in orbit_decomposition(q) for c in o.members)
+
+
+def orbit_decomposition(q: StableTranslationQuiver) -> list[Orbit]:
+    """The configurations of `q` as orbits under its automorphisms, sorted
+    by representative, the least member of each.
+
+    Anchors are the candidates, in (node, level) order, outside the vertex
+    orbits of earlier anchors.  The branch of an anchor finds the
+    configurations that contain it and no vertex of an earlier anchor's
+    orbit; each find not yet seen expands into its orbit.  See the module
+    docstring for why every orbit is reached.
+    """
     card = num_simples(q.rfs_type)
     table = quotient_hom_table(q)
     candidates = sorted(
         (v for v in q.vertices if table[(v, v)] == 1),
         key=lambda v: (v[1], v[0]),
     )
-    # bit k stands for candidates[k]; orth[k]: candidates orthogonal to it
-    orth = [
-        sum(
-            1 << j
-            for j, b in enumerate(candidates)
-            if a != b and not table[(a, b)] and not table[(b, a)]
-        )
-        for a in candidates
-    ]
-    # one mask per vertex v: the candidates receiving a nonzero hom from v
-    coverers = [
-        sum(1 << k for k, c in enumerate(candidates) if table[(v, c)])
-        for v in q.vertices
-    ]
-    out: list[Config] = []
+    # bit k stands for candidates[k]; orth[k]: candidates orthogonal to it;
+    # coverers[v]: the candidates receiving a nonzero hom from v.  A
+    # nonzero hom(a, a) clears a's own bit.
+    index = {c: k for k, c in enumerate(candidates)}
+    orth = [(1 << len(candidates)) - 1] * len(candidates)
+    coverers = dict.fromkeys(q.vertices, 0)
+    for (a, b), d in table.items():
+        k = index.get(b)
+        if d and k is not None:
+            coverers[a] |= 1 << k
+            j = index.get(a)
+            if j is not None:
+                orth[j] &= ~(1 << k)
+                orth[k] &= ~(1 << j)
+    auts = automorphisms(q)
+    seen: set[Config] = set()
+    orbits: list[Orbit] = []
 
     def extend(members: Config, pool: int, uncovered: list[int]):
         # pool: candidates orthogonal to all members and not excluded by an
@@ -85,7 +124,11 @@ def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
                 raise CardinalityError(
                     f"{q.rfs_type}: {members} covers with fewer than {card} members"
                 )
-            out.append(tuple(sorted(members)))
+            c = tuple(sorted(members))
+            if c not in seen:
+                orbit = sorted({tuple(sorted(phi[v] for v in c)) for phi in auts})
+                seen.update(orbit)
+                orbits.append(Orbit(orbit[0], len(orbit), tuple(orbit)))
             return
         if len(members) == card:
             return
@@ -100,30 +143,15 @@ def enumerate_configurations(q: StableTranslationQuiver) -> list[Config]:
             rest = [c for c in uncovered if not c & low]
             extend(members + (candidates[k],), pool & orth[k], rest)
 
-    extend((), (1 << len(candidates)) - 1, coverers)
-    return sorted(out)
-
-
-class Orbit(Value):
-    __slots__ = ("representative", "size", "members")
-    representative: Config
-    size: int
-    members: tuple[Config, ...]
-
-
-def orbit_decomposition(q: StableTranslationQuiver, configs) -> list[Orbit]:
-    """Partition configurations under the automorphisms of the quiver."""
-    configs = sorted(set(tuple(sorted(c)) for c in configs))
-    auts = automorphisms(q)
-    remaining = set(configs)
-    orbits = []
-    for c in configs:
-        if c not in remaining:
+    excluded = 0
+    for k, anchor in enumerate(candidates):
+        if excluded >> k & 1:
             continue
-        members = sorted({tuple(sorted(phi[v] for v in c)) for phi in auts})
-        for m in members:
-            remaining.discard(m)
-        orbits.append(Orbit(min(members), len(members), tuple(members)))
+        low = 1 << k
+        rest = [c for c in coverers.values() if not c & low]
+        extend((anchor,), orth[k] & ~excluded, rest)
+        for phi in auts:
+            excluded |= 1 << index[phi[anchor]]
     return sorted(orbits, key=lambda o: o.representative)
 
 
@@ -160,12 +188,11 @@ def transitivity_list_check() -> list[TransitivityRow]:
         if t.graph.rank * int(t.frequency * (t.coxeter - 1)) > 40:
             continue
         q = quotient(t)
-        configs = enumerate_configurations(q)
-        orbits = orbit_decomposition(q, configs)
+        orbits = orbit_decomposition(q)
         rows.append(
             TransitivityRow(
                 str(t),
-                len(configs),
+                sum(o.size for o in orbits),
                 len(orbits),
                 len(orbits) == 1,
                 in_single_orbit_list(t),

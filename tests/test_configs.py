@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, gcd
 
@@ -6,6 +7,7 @@ import pytest
 
 from smsquiver.configs import (
     CardinalityError,
+    Orbit,
     _type_grid,
     enumerate_configurations,
     in_single_orbit_list,
@@ -119,6 +121,29 @@ def bitmask_clique_enumeration(q):
     return sorted(set(out))
 
 
+@cache
+def clique_configurations(text):
+    """`bitmask_clique_enumeration` of one type, computed once per session."""
+    return bitmask_clique_enumeration(quotient(parse_type(text)))
+
+
+def reference_orbit_partition(q, configs):
+    """Partition configurations under the automorphisms of the quiver by
+    applying every automorphism to each configuration not yet placed."""
+    configs = sorted(set(tuple(sorted(c)) for c in configs))
+    auts = automorphisms(q)
+    remaining = set(configs)
+    orbits = []
+    for c in configs:
+        if c not in remaining:
+            continue
+        members = sorted({tuple(sorted(phi[v] for v in c)) for phi in auts})
+        for m in members:
+            remaining.discard(m)
+        orbits.append(Orbit(min(members), len(members), tuple(members)))
+    return sorted(orbits, key=lambda o: o.representative)
+
+
 GRID_TYPES = [str(t) for t in _type_grid(5, 2, False)] + ["E:6/f=1/t=1", "E:6/f=1/t=2"]
 
 
@@ -128,7 +153,7 @@ def test_scarcest_vertex_branching_matches_both_references():
     for text in GRID_TYPES:
         q = quotient(parse_type(text))
         configs = enumerate_configurations(q)
-        assert configs == bitmask_clique_enumeration(q), text
+        assert configs == clique_configurations(text), text
         if len(q.vertices) <= 100:
             assert configs == reference_enumeration(q), text
 
@@ -139,14 +164,17 @@ def test_d7_at_frequency_two_is_pinned():
     assert len(enumerate_configurations(q)) == 1122
 
 
-def test_short_covering_raises(monkeypatch):
+@pytest.mark.parametrize("text", ["A:3/f=1/t=1", "D:4/f=1/t=1", "E:6/f=1/t=2"])
+def test_short_covering_raises(monkeypatch, text):
     # with the simple count raised by one, the true configurations cover
-    # the quotient one member short of it
+    # the quotient one member short of it; D4 and E6 have graph
+    # automorphisms, so the covering is reached in an anchored branch
+    # whose pool omits the orbits of earlier anchors
     monkeypatch.setattr(
         "smsquiver.configs.num_simples", lambda t: num_simples(t) + 1
     )
     with pytest.raises(CardinalityError):
-        enumerate_configurations(quotient(parse_type("A:3/f=1/t=1")))
+        orbit_decomposition(quotient(parse_type(text)))
 
 
 def test_empty_set_fails_covering():
@@ -205,18 +233,35 @@ def test_single_forced_configuration_on_a1_quotients():
 
 
 def test_automorphic_image_of_a_configuration_is_one():
-    q = quotient(parse_type("A:3/f=1/t=2"))
-    configs = set(enumerate_configurations(q))
-    for phi in automorphisms(q):
-        for c in configs:
-            image = tuple(sorted(phi[v] for v in c))
-            assert image in configs
+    # checked against the clique enumeration, which uses no automorphism;
+    # the package's own enumeration expands orbits by automorphisms
+    for text in GRID_TYPES:
+        q = quotient(parse_type(text))
+        configs = clique_configurations(text)
+        known = set(configs)
+        for phi in automorphisms(q):
+            for c in configs:
+                assert tuple(sorted(phi[v] for v in c)) in known, (text, c)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        pytest.param(GRID_TYPES + ["E:7/f=1/t=1"], id="grid+E7"),
+        pytest.param(["E:8/f=1/t=1"], id="E8", marks=pytest.mark.slow),
+    ],
+)
+def test_orbit_decomposition_matches_the_reference_partition(texts):
+    for text in texts:
+        q = quotient(parse_type(text))
+        want = reference_orbit_partition(q, clique_configurations(text))
+        assert orbit_decomposition(q) == want, text
 
 
 def test_orbit_decomposition_partitions_and_minimizes():
     q = quotient(parse_type("D:4/f=1/t=1"))
     configs = enumerate_configurations(q)
-    orbits = orbit_decomposition(q, configs)
+    orbits = orbit_decomposition(q)
     assert sum(o.size for o in orbits) == len(configs)
     assert sorted(o.size for o in orbits) == [5, 15]
     for o in orbits:
@@ -272,18 +317,13 @@ def test_a_type_counts_follow_the_gcd_formula(bound):
             assert len(enumerate_configurations(q)) == observed, (n, s)
 
 
-@pytest.mark.slow
-def test_e6_enumeration_behind_the_flag():
-    # E-type enumeration stays out of the default suite; at the smallest
-    # parameter the orbit count is checked to exceed one
+def test_e6_configurations_and_orbits():
     q = quotient(parse_type("E:6/f=1/t=1"))
     configs = enumerate_configurations(q)
     assert len(configs) == 418
     for c in configs[::41]:
         assert is_configuration(q, c)[0]
-    orbits = orbit_decomposition(q, configs)
-    assert len(orbits) == 22
-    assert len(orbits) > 1
+    assert len(orbit_decomposition(q)) == 22
 
 
 # Configurations of ZQ / tau^(h-1) for Q of type A, D, E (f=1, t=1) are
@@ -305,10 +345,8 @@ def test_d_type_counts_fit_the_closed_form(n, count):
     assert len(enumerate_configurations(q)) == count
 
 
-@pytest.mark.parametrize(
-    "n,count", [(7, 2431), pytest.param(8, 17342, marks=pytest.mark.slow)]
-)
+@pytest.mark.parametrize("n,count", [(7, 2431), (8, 17342)])
 def test_e_type_counts(n, count):
-    # E6 (418) is pinned by test_e6_enumeration_behind_the_flag
+    # E6 (418) is pinned by test_e6_configurations_and_orbits
     q = quotient(parse_type(f"E:{n}/f=1/t=1"))
     assert len(enumerate_configurations(q)) == count
