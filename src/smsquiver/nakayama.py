@@ -10,9 +10,14 @@ Everything is computed exactly, combinatorially and with no linear algebra:
 
 * hom spaces have the basis phi_j (top |-> j-th radical layer of the
   target), 0/1 diagonals with disjoint supports for distinct depths, so
-  homs are sets of depths: the stable basis is the depths below
-  L - length(source), and a minimal approximation is the set of basis
+  homs are sets of depths, in closed form: Hom(M, N) has the depths
+  j = top M - top N (mod e) in [max(0, length N - length M), length N),
+  an arithmetic progression of step e; the stable basis is its depths
+  below L - length M, and a minimal approximation is the set of basis
   copies that no other copy maps onto;
+* the orthogonal candidates are the e-cliques of the schurian modules
+  under "no stable hom either way", found by a bit-mask clique search
+  that takes one member of each top in turn;
 * extension middles (pushouts) are read off intervals of degrees: in a
   grading where every serial summand is an interval containing 0, a bar
   dominated by another splits off unchanged and the rest glue pairwise
@@ -174,14 +179,17 @@ class NakayamaAlgebra:
 
     # --- hom spaces -----------------------------------------------------
 
-    def hom_depths(self, m: SerialModule, n: SerialModule) -> list[int]:
-        """Depths j with phi_j : M -> N, top |-> (j-th layer of N), a module map."""
+    def hom_depths(self, m: SerialModule, n: SerialModule) -> range:
+        """Depths j with phi_j : M -> N, top |-> (j-th layer of N), a module map.
+
+        The image of phi_j is the bottom length(N) - j layers of N, a
+        quotient of M exactly when j >= length(N) - length(M), and layer j
+        of N is the simple top(N) + j.  So the depths are the progression
+        j = top(M) - top(N) (mod e) on [max(0, length(N) - length(M)),
+        length(N)).
+        """
         lo = max(0, n.length - m.length)
-        return [
-            j
-            for j in range(lo, n.length)
-            if self._col(n.top + j) == m.top
-        ]
+        return range(lo + (m.top - n.top - lo) % self.e, n.length, self.e)
 
     def stable_hom_basis(self, m: SerialModule, n: SerialModule) -> tuple[int, ...]:
         """Depths whose maps form a basis of Hom(M,N) modulo projectives.
@@ -190,9 +198,12 @@ class NakayamaAlgebra:
         the projective cover P(top N), whose maps from M are the phi_j with
         j >= L - length(M).  Distinct depths have disjoint supports, so
         those phi_j span the projectively trivial maps and the rest are a
-        basis of the quotient.
+        basis of the quotient: the hom_depths progression cut off at
+        min(length(N), L - length(M)).
         """
-        return tuple(j for j in self.hom_depths(m, n) if j < self.L - m.length)
+        lo = max(0, n.length - m.length)
+        stop = min(n.length, self.L - m.length)
+        return tuple(range(lo + (m.top - n.top - lo) % self.e, stop, self.e))
 
     def stable_hom_dim(self, m: SerialModule, n: SerialModule) -> int:
         if self.is_projective(m) or self.is_projective(n):
@@ -406,35 +417,46 @@ class NakayamaAlgebra:
         return sorted(s for s in candidates if verdict[s])
 
     def orthogonal_candidates(self) -> list[Multiset]:
-        """All e-element orthogonal systems with one-dimensional stable End."""
-        mods = [
-            m
-            for m in self.indecomposables()
-            if self.stable_hom_dim(m, m) == 1
+        """All e-element orthogonal systems with one-dimensional stable End,
+        as increasing index sequences in the lexicographic order of the
+        schurian modules.
+
+        A clique search on bit masks: compat[i] holds the later schurian
+        modules with no stable hom to or from module i.  A node is the
+        chosen members and the pool of modules compatible with all of them
+        and later than the last; it branches on the pool's lowest module,
+        taking it before leaving it out, so candidates come out in index
+        order.  A node is cut when the pool holds fewer modules than are
+        still needed, or when its lowest module's top is not the next
+        one.  The second cut holds for every orthogonal e-set: for
+        l < l' < L the projection M(t, l') ->> M(t, l) is stably nonzero
+        (its depth 0 is below L - l'), so two members never share a top,
+        and e members have each of the e tops once, in index order.  The
+        walk keeps an explicit stack, so an algebra with thousands of
+        simples does not recurse once per member.
+        """
+        mods = [m for m in self.indecomposables() if self.stable_hom_dim(m, m) == 1]
+        compat = [
+            sum(
+                1 << k
+                for k in range(i + 1, len(mods))
+                if self.stable_hom_dim(a, mods[k]) == 0 and self.stable_hom_dim(mods[k], a) == 0
+            )
+            for i, a in enumerate(mods)
         ]
-        compatible = {
-            (a, b)
-            for a in mods
-            for b in mods
-            if a != b
-            and self.stable_hom_dim(a, b) == 0
-            and self.stable_hom_dim(b, a) == 0
-        }
         out: list[Multiset] = []
-
-        def extend(start: int, chosen: list[SerialModule]):
+        stack = [((), (1 << len(mods)) - 1)]
+        while stack:
+            chosen, pool = stack.pop()
             if len(chosen) == self.e:
-                out.append(tuple(chosen))
-                return
-            # start only where enough modules remain to reach e members
-            for k in range(start, len(mods) - (self.e - len(chosen)) + 1):
-                m = mods[k]
-                if all((m, c) in compatible for c in chosen):
-                    chosen.append(m)
-                    extend(k + 1, chosen)
-                    chosen.pop()
-
-        extend(0, [])
+                out.append(chosen)
+                continue
+            low = pool & -pool
+            i = low.bit_length() - 1
+            if pool.bit_count() < self.e - len(chosen) or mods[i].top != len(chosen) + 1:
+                continue
+            stack.append((chosen, pool ^ low))
+            stack.append((chosen + (mods[i],), pool & compat[i]))
         return out
 
     # --- approximations and mutation ------------------------------------

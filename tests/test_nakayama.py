@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,16 @@ from smsquiver.nakayama import (
 )
 
 
+def reference_hom_depths(A, m, n):
+    """Depths j with phi_j : M -> N a module map, by scanning the
+    composition factors of N: the image, layers j.. of N, must be a
+    quotient of M, and layer j must be the top of M."""
+    factors = A.factors(n)
+    return [j for j in range(max(0, n.length - m.length), n.length) if factors[j] == m.top]
+
+
 def hom_dim(A, m, n):
-    return len(A.hom_depths(m, n))
+    return len(reference_hom_depths(A, m, n))
 
 
 def is_symmetric(A):
@@ -112,7 +121,7 @@ def reference_hom_vector(m, n, depth):
 def reference_factoring_tracker(A, m, n):
     """Span of the maps M -> N through the projective cover of N."""
     tracker = SpanTracker(m.length * n.length)
-    for j in A.hom_depths(m, A.projective(n.top)):
+    for j in reference_hom_depths(A, m, A.projective(n.top)):
         if j < n.length:  # layers >= length(N) die under the cover map
             tracker.add(reference_hom_vector(m, n, j))
     return tracker
@@ -122,7 +131,7 @@ def reference_stable_hom_basis(A, m, n):
     """Depths whose vectors enlarge the span of the factoring maps."""
     tracker = reference_factoring_tracker(A, m, n)
     return tuple(
-        j for j in A.hom_depths(m, n) if tracker.add(reference_hom_vector(m, n, j))
+        j for j in reference_hom_depths(A, m, n) if tracker.add(reference_hom_vector(m, n, j))
     )
 
 
@@ -139,6 +148,23 @@ def test_stable_hom_matches_brute_force(e, L):
             assert hom_dim(A, m, n) == hom
             assert A.stable_hom_dim(m, n) == hom - stably_zero, (m, n)
             assert A.stable_hom_basis(m, n) == reference_stable_hom_basis(A, m, n)
+
+
+def test_closed_form_homs_match_the_factor_scan():
+    """hom_depths and stable_hom_basis are arithmetic progressions; the
+    factor scan, cut off at L - length(M) for the stable basis, pins them
+    on every ordered pair of every N(e, L) with e(L-1) <= 24."""
+    pairs = 0
+    for A in algebras_up_to(24):
+        ind = A.indecomposables()
+        for m in ind:
+            for n in ind:
+                want = reference_hom_depths(A, m, n)
+                assert list(A.hom_depths(m, n)) == want, (A, m, n)
+                stable = tuple(j for j in want if j < A.L - m.length)
+                assert A.stable_hom_basis(m, n) == stable, (A, m, n)
+                pairs += 1
+    assert pairs == 20684
 
 
 def test_simples_are_schurian_and_orthogonal():
@@ -585,7 +611,7 @@ def test_rank_decomposition_recovers_known_multisets():
 def depth_maps_from_syzygy(A, quot):
     """Every (x, depth) with phi_depth : Omega(quot) -> x a module map."""
     om = A.omega(quot)
-    return [(x, d) for x in A.indecomposables() for d in A.hom_depths(om, x)]
+    return [(x, d) for x in A.indecomposables() for d in reference_hom_depths(A, om, x)]
 
 
 def test_pushout_middles_match_elimination_on_small_stacks():
@@ -743,8 +769,74 @@ def unpruned_orthogonal_candidates(A):
 
 
 def test_pruned_candidates_match_exhaustive_walk():
-    for A in algebras_up_to(12):
+    # past 16 the exhaustive walk blows up on N(e, 2), whose simples are
+    # pairwise orthogonal: every subset of them is walked
+    for A in algebras_up_to(16):
         assert A.orthogonal_candidates() == unpruned_orthogonal_candidates(A), A
+
+
+def test_orthogonal_subsets_have_distinct_tops():
+    # the clique search takes the member of top k + 1 in its k-th step
+    for A in algebras_up_to(12):
+        for S in orthogonal_subsets(A):
+            assert len({m.top for m in S}) == len(S), (A, S)
+
+
+def reference_orthogonal_candidates(A):
+    """The recursive walk over a set of compatible pairs that the bit-mask
+    search replaced: index order, pruned only when too few modules remain."""
+    mods = [m for m in A.indecomposables() if A.stable_hom_dim(m, m) == 1]
+    compatible = {
+        (a, b)
+        for a in mods
+        for b in mods
+        if a != b and A.stable_hom_dim(a, b) == 0 and A.stable_hom_dim(b, a) == 0
+    }
+    out = []
+
+    def extend(start, chosen):
+        if len(chosen) == A.e:
+            out.append(tuple(chosen))
+            return
+        for k in range(start, len(mods) - (A.e - len(chosen)) + 1):
+            m = mods[k]
+            if all((m, c) in compatible for c in chosen):
+                chosen.append(m)
+                extend(k + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return out
+
+
+def test_clique_search_matches_the_pair_walk():
+    # all_sms decides each <tau, Omega>-orbit on its first member met, so
+    # the order matters as well as the list
+    for A in algebras_up_to(24):
+        assert A.orthogonal_candidates() == reference_orthogonal_candidates(A), A
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("e,L", [(16, 3), (12, 4), (18, 3)])
+def test_clique_search_matches_the_pair_walk_on_wide_algebras(e, L):
+    A = NakayamaAlgebra(e, L)
+    assert A.orthogonal_candidates() == reference_orthogonal_candidates(A)
+
+
+def test_candidate_search_does_not_recurse_per_member():
+    """The simples of N(e, 2) are its one system, e members deep; with
+    the recursion limit a little above the current depth, a walk that
+    recursed once per member would raise RecursionError."""
+    A = NakayamaAlgebra(100, 2)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        assert A.all_sms(bound=100) == [A.simples()]
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_all_sms_on_many_simples_and_short_loewy_length():
@@ -768,7 +860,9 @@ def reference_covers(A, copies, subcat, m, side="left"):
         goal = tracker.rank + A.stable_hom_dim(src, tgt)
         composites = set()
         for t, depth in copies:
-            between = A.hom_depths(t, t2) if side == "left" else A.hom_depths(t2, t)
+            between = (
+                reference_hom_depths(A, t, t2) if side == "left" else reference_hom_depths(A, t2, t)
+            )
             composites.update(depth + b for b in between if depth + b < tgt.length)
         for j in sorted(composites):
             tracker.add(reference_hom_vector(src, tgt, j))
