@@ -17,7 +17,7 @@ from .configs import enumerate_configurations, orbit_decomposition
 from .dynkin import DynkinGraph, RfsType, coxeter_number, parse_type, validate_rfs_type
 from .meshcat import fast_table, oracle_table
 from .mutation import build_mutation_quiver
-from .nakayama import NakayamaAlgebra, SerialModule
+from .nakayama import NakayamaAlgebra, SerialModule, _orbit
 from .values import Value
 from .ztquiver import Window, quotient
 
@@ -136,8 +136,9 @@ def criterion_4() -> tuple[bool, str]:
     configurations at A2 versus one tree); the count is 1 exactly for one
     edge or for the pair (2,1).  On the module side N(e, em + 1) is the
     Brauer star algebra with e edges and multiplicity m, and its systems up
-    to <tau, Omega> are counted by the Brauer trees with e edges and
-    multiplicity m, for every e*e*m <= 30 with m <= 4.
+    to <tau, Omega> (not D: trees count up to rotation, not reflection) are
+    counted by the Brauer trees with e edges and multiplicity m, for every
+    e*e*m <= 30 with m <= 4.
     """
     details = []
     for n in range(1, 5):
@@ -150,9 +151,8 @@ def criterion_4() -> tuple[bool, str]:
     stars = [(e, m) for e in range(1, 6) for m in range(1, 5) if e * e * m <= 30]
     for e, m in stars:
         A = NakayamaAlgebra(e, e * m + 1)
-        symmetries = A._symmetries()
         systems = A.all_sms(bound=30)
-        orbits = len({min(tuple(sorted(g[x] for x in s)) for g in symmetries) for s in systems})
+        orbits = len({min(_orbit(s, (A.tau, A.omega))) for s in systems})
         trees = count_brauer_trees(e, m)
         if orbits != trees:
             return False, f"N({e},{e * m + 1}): {orbits} system orbits but {trees} Brauer trees"

@@ -36,10 +36,10 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   answers its mirror image: D carries extension-closed
   subcategories to extension-closed subcategories, so the closure of
   D(U) is D of the closure of U;
-* tau and Omega are stable auto-equivalences, so they permute the
-  orthogonal candidates and keep whether each one is a system.  They
-  generate the 2e maps tau^a Omega^b (a < e, b < 2, as Omega^2 = tau^L),
-  and all_sms decides generation once per orbit of that group;
+* tau, Omega and the exact duality D permute the orthogonal candidates
+  and keep whether each one is a system; D inverts tau and Omega, so they
+  generate at most 4e maps, and all_sms decides generation by the closure
+  alone, once per orbit walked with the public tau, omega and dual;
 * left mutation triangles are realized as pushouts in mod A followed by
   stripping projective summands; right mutation is left mutation
   conjugated by the duality D of N(e, L), D M(t, l) = M(-(t+l-1), l),
@@ -124,6 +124,18 @@ Multiset = tuple[SerialModule, ...]
 
 def _canon(mods) -> Multiset:
     return tuple(sorted(mods))
+
+
+def _orbit(mods, maps) -> set[Multiset]:
+    """The orbit of a module set under the group generated by `maps`, each a
+    bijection of the non-projectives, walked until nothing new appears."""
+    orbit, frontier = set(), [_canon(mods)]
+    while frontier:
+        s = frontier.pop()
+        if s not in orbit:
+            orbit.add(s)
+            frontier.extend(_canon(g(m) for m in s) for g in maps)
+    return orbit
 
 
 def _json_modules(mods) -> list[list[int]]:
@@ -290,10 +302,9 @@ class NakayamaAlgebra:
         Cached per algebra.  A computed closure C of U is also stored as the
         closure D(C) of D(U): the duality D is exact, so it carries
         extension-closed subcategories to extension-closed ones.  Right
-        mutation runs left mutation on dual arguments, and D carries
-        orthogonal candidates to orthogonal candidates, so the mutation
-        search and all_sms meet most subsets together with their duals and
-        compute one closure per pair.  Both tiers are sound, so a closure
+        mutation runs left mutation on dual arguments, so the mutation
+        search meets most subsets together with their duals and computes
+        one closure per pair.  Both tiers are sound, so a closure
         that returns is the true one; a dual entry may therefore answer a
         query that direct computation would refuse with
         GenerationUndecided.
@@ -382,38 +393,24 @@ class NakayamaAlgebra:
         if self.e * (self.L - 1) > bound:
             raise BoundExceededError(f"e*(L-1) = {self.e * (self.L - 1)} exceeds bound {bound}")
 
-    def _symmetries(self) -> list[dict[SerialModule, SerialModule]]:
-        """The maps tau^a Omega^b (a < e, b < 2) on the non-projectives.
-
-        tau^a Omega^b M(t, l) is M(t + a, l) for b = 0 and M(t + l + a, L - l)
-        for b = 1.  Omega^2 = tau^L, so these maps are the whole group
-        <tau, Omega>; when L = 2, Omega = tau and the list repeats maps.
-        """
-        ind = self.indecomposables()
-        rotations = [
-            {m: SerialModule(self._col(m.top + a), m.length) for m in ind} for a in range(self.e)
-        ]
-        return rotations + [{m: g[self.omega(m)] for m in ind} for g in rotations]
-
     def all_sms(self, bound: int = 24) -> list[Multiset]:
         """All simple-minded systems, by orthogonal-clique search + generation.
 
-        tau and Omega are stable auto-equivalences, so they carry systems to
-        systems and orthogonal candidates to orthogonal candidates.  Generation
-        is therefore decided once per <tau, Omega>-orbit of candidates, on the
-        first member met, and the verdict holds for the whole orbit.  As with
-        the dual entries of the closure cache, a member may thus be answered
-        where a direct is_sms query would raise GenerationUndecided.
+        Candidates are orthogonal by construction, so one is a system when
+        its extension closure holds all e(L-1) non-projectives.  tau, Omega
+        and D keep candidates and systems, so the first candidate met
+        decides its whole <tau, Omega, D>-orbit.  As with the dual entries
+        of the closure cache, a member may thus be answered where a direct
+        is_sms query would raise GenerationUndecided.
         """
         self._require_size(bound)
-        symmetries = self._symmetries()
+        full = self.e * (self.L - 1)
         candidates = self.orthogonal_candidates()
         verdict: dict[Multiset, bool] = {}
         for s in candidates:
             if s not in verdict:
-                ok = self.is_sms(s)
-                for g in symmetries:
-                    verdict[_canon(g[m] for m in s)] = ok
+                ok = len(self.ext_closure(s)) == full
+                verdict.update(dict.fromkeys(_orbit(s, (self.tau, self.omega, self.dual)), ok))
         return sorted(s for s in candidates if verdict[s])
 
     def orthogonal_candidates(self) -> list[Multiset]:

@@ -16,6 +16,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from smsquiver.nakayama import (
     NotAnSmsError,
     NuStabilityError,
     SerialModule,
+    _orbit,
     parse_algebra,
 )
 
@@ -458,27 +460,43 @@ def test_all_sms_is_closed_under_tau_omega_and_duality():
 
 @pytest.mark.parametrize("bound", [16, pytest.param(24, marks=pytest.mark.slow)])
 def test_all_sms_matches_a_generation_check_of_every_candidate(bound):
-    """all_sms decides one candidate per <tau, Omega>-orbit; the reference
-    asks a fresh algebra, with an empty closure cache, about every one."""
+    """all_sms decides one candidate per <tau, Omega, D>-orbit by its
+    closure alone; the reference asks is_sms of a fresh algebra, with an
+    empty closure cache, about every one."""
     for A in algebras_up_to(bound):
         B = NakayamaAlgebra(A.e, A.L)
         want = sorted(s for s in B.orthogonal_candidates() if B.is_sms(s))
         assert A.all_sms(bound=bound) == want, A
 
 
-def test_symmetries_are_the_group_generated_by_tau_and_omega():
-    for A in algebras_up_to(16):
-        ind = A.indecomposables()
-        symmetries = A._symmetries()
-        for g in symmetries:
-            assert sorted(g) == list(ind) and sorted(g.values()) == list(ind), A
-        maps = {tuple(g[m] for m in ind) for g in symmetries}
+def test_candidates_are_permuted_by_tau_omega_and_duality():
+    """What all_sms relies on: tau, Omega and D map the candidates onto
+    themselves, and D inverts tau and Omega, so <tau, Omega, D> is
+    <tau, Omega> (at most 2e maps, as Omega^2 = tau^L) times {1, D}."""
+    for A in algebras_up_to(24):
+        candidates = set(A.orthogonal_candidates())
+        maps = (A.tau, A.omega, A.dual)
         for g in maps:
-            for h in maps:
-                assert tuple(g[ind.index(x)] for x in h) in maps, A
-        assert tuple(map(A.tau, ind)) in maps and tuple(map(A.omega, ind)) in maps, A
-        if A.L >= 3:
-            assert len(maps) == 2 * A.e, A
+            assert {image(g, s) for s in candidates} == candidates, (A, g.__name__)
+        for m in A.indecomposables():
+            assert A.dual(A.tau(A.dual(m))) == A.tau_inv(m), (A, m)
+            assert A.dual(A.omega(A.dual(m))) == A.omega_inv(m), (A, m)
+        for s in candidates:
+            orbit = _orbit(s, maps)
+            assert orbit <= candidates and len(orbit) <= 4 * A.e, (A, s)
+
+
+def test_all_sms_on_a_wide_algebra_allocates_little():
+    """N(200, 2) has one candidate, the simples, which tau, Omega and D
+    all fix: its orbit is itself, and the traced peak stays under 1 MiB."""
+    A = NakayamaAlgebra(200, 2)
+    tracemalloc.start()
+    try:
+        assert A.all_sms(bound=200) == [A.simples()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def symmetry_orbits(A, systems):
@@ -810,7 +828,7 @@ def reference_orthogonal_candidates(A):
 
 
 def test_clique_search_matches_the_pair_walk():
-    # all_sms decides each <tau, Omega>-orbit on its first member met, so
+    # all_sms decides each <tau, Omega, D>-orbit on its first member met, so
     # the order matters as well as the list
     for A in algebras_up_to(24):
         assert A.orthogonal_candidates() == reference_orthogonal_candidates(A), A
