@@ -165,9 +165,11 @@ def cmd_hom(args):
     pairs = [(e, f) for e in q.vertices for f in q.vertices]
     payload = {
         "type": str(q.rfs_type),
-        "dims": [[list(e), list(f), table[(e, f)]] for e, f in pairs],
+        "dims": [[list(e), list(f), table.get((e, f), 0)] for e, f in pairs],
     }
-    return 0, payload, (f"{e[0]},{e[1]}\t{f[0]},{f[1]}\t{table[(e, f)]}" for e, f in pairs)
+    return 0, payload, (
+        f"{e[0]},{e[1]}\t{f[0]},{f[1]}\t{table.get((e, f), 0)}" for e, f in pairs
+    )
 
 
 def cmd_enumerate(args):

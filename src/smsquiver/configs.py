@@ -52,14 +52,15 @@ def is_configuration(q: StableTranslationQuiver, subset) -> tuple[bool, str]:
             return False, f"{v} is not a vertex"
     table = quotient_hom_table(q)
     for e in members:
-        d = table[(e, e)]
+        d = table.get((e, e), 0)
         if d != 1:
             return False, f"orthogonality: hom({e},{e}) = {d} != 1"
         for f in members:
-            if e != f and table[(e, f)]:
-                return False, f"orthogonality: hom({e},{f}) = {table[(e, f)]} != 0"
+            d = table.get((e, f), 0)
+            if e != f and d:
+                return False, f"orthogonality: hom({e},{f}) = {d} != 0"
     for v in q.vertices:
-        if not any(table[(v, f)] for f in members):
+        if not any(table.get((v, f), 0) for f in members):
             return False, f"covering: no member receives a hom from {v}"
     return True, "configuration"
 
@@ -94,18 +95,18 @@ def orbit_decomposition(q: StableTranslationQuiver) -> list[Orbit]:
     card = num_simples(q.rfs_type)
     table = quotient_hom_table(q)
     candidates = sorted(
-        (v for v in q.vertices if table[(v, v)] == 1),
+        (v for v in q.vertices if table.get((v, v), 0) == 1),
         key=lambda v: (v[1], v[0]),
     )
     # bit k stands for candidates[k]; orth[k]: candidates orthogonal to it;
-    # coverers[v]: the candidates receiving a nonzero hom from v.  A
-    # nonzero hom(a, a) clears a's own bit.
+    # coverers[v]: the candidates receiving a nonzero hom from v.  The
+    # table holds nonzero homs only, and hom(a, a) clears a's own bit.
     index = {c: k for k, c in enumerate(candidates)}
     orth = [(1 << len(candidates)) - 1] * len(candidates)
     coverers = dict.fromkeys(q.vertices, 0)
-    for (a, b), d in table.items():
+    for a, b in table:
         k = index.get(b)
-        if d and k is not None:
+        if k is not None:
             coverers[a] |= 1 << k
             j = index.get(a)
             if j is not None:

@@ -1,21 +1,20 @@
 """Small exact linear algebra over the rationals.
 
-The mesh oracle in `meshcat` is the only caller in the package: it ranks
-graded path spaces with `SpanTracker`, so no floating-point tolerance
-appears.  The module backend needs no linear algebra, as its homs are
-sets of depths.  Vectors hold ints and Fractions, which mix exactly, and
-stay tiny (dimensions in the tens), hence plain Gaussian elimination is
-enough.  A pivot of 1 or -1 is normalised by keeping the row or flipping
-its sign, so integer rows with unit pivots stay integers; every pivot the
-mesh oracle meets is one of these, so the oracle does no Fraction
-arithmetic.  Any other pivot divides through by a Fraction.
+The mesh oracle in `meshcat` is the only caller in the package: it takes
+the quotient of each graded path space by the mesh relations with one
+`cokernel`, so no floating-point tolerance appears.  The module backend
+needs no linear algebra, as its homs are sets of depths.  Vectors hold
+ints and Fractions, which mix exactly, and stay tiny (dimensions in the
+tens), hence plain Gaussian elimination is enough.  A pivot of 1 or -1 is
+normalised by keeping the row or flipping its sign, so integer rows with
+unit pivots stay integers; every pivot the mesh oracle meets is one of
+these, so the oracle does no Fraction arithmetic.  Any other pivot divides
+through by a Fraction.
 
-`integer_rank` has no caller in the package.  The tests use it, and
-`SpanTracker`, as brute-force references: `integer_rank` is the
-elimination that pushout middles were once decomposed with, and span
-tracking on explicit hom vectors is how stable bases and minimal
-approximations were once found; the depth-set versions in `nakayama` are
-checked against both.  The benchmark tracer (perfbench/tracer.py) also
+`integer_rank` has no caller in the package.  The tests use it as a
+brute-force reference: it is the elimination that pushout middles were
+once decomposed with, and the depth-set versions in `nakayama` are
+checked against it.  The benchmark tracer (perfbench/tracer.py) also
 counts `integer_rank` calls by name.
 """
 
@@ -25,39 +24,27 @@ import math
 from fractions import Fraction
 
 
-class SpanTracker:
-    """Incrementally maintained row space in reduced echelon form.
+def cokernel(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
+    """The quotient map of k^ncols onto k^ncols / span(rows), one column
+    (the image of the k-th unit vector) per coordinate k.
 
-    Supports rank queries and reduction of a vector modulo the tracked
-    span.  Inserts are idempotent: adding a vector already in the span is
-    a no-op.
+    The rows are brought to reduced echelon form; the free columns give
+    the quotient's basis.  A free column maps to its own unit vector and
+    a pivot column to minus the free part of its row, so the map kills
+    every row and nothing else.
     """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[int | Fraction]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec) -> list[int | Fraction]:
-        """Eliminate all pivot coordinates of `vec`; returns a new list."""
+    basis: list[list[int | Fraction]] = []
+    pivots: list[int] = []
+    for vec in rows:
         v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
+        for row, piv in zip(basis, pivots):
             c = v[piv]
             if c:
-                for j in range(piv, self.ncols):
+                for j in range(piv, ncols):
                     v[j] -= c * row[j]
-        return v
-
-    def add(self, vec) -> bool:
-        """Add `vec` to the span; True if it enlarged the span."""
-        v = self.reduce(vec)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
-            return False
+            continue
         pv = v[piv]
         if pv == -1:
             v = [-x for x in v]
@@ -65,28 +52,20 @@ class SpanTracker:
             inv = Fraction(1) / pv
             v = [x * inv for x in v]
         # back-eliminate to keep the basis reduced
-        for row in self.rows:
+        for row in basis:
             c = row[piv]
             if c:
-                for j in range(self.ncols):
+                for j in range(piv, ncols):
                     row[j] -= c * v[j]
-        at = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
-
-    def free_columns(self) -> list[int]:
-        pivset = set(self.pivots)
-        return [j for j in range(self.ncols) if j not in pivset]
-
-    def quotient_coords(self, vec) -> tuple[int | Fraction, ...]:
-        """Coordinates of `vec` in the complement basis (free columns).
-
-        The induced map is linear with kernel exactly the tracked span,
-        i.e. a model of the quotient space.
-        """
-        v = self.reduce(vec)
-        return tuple(v[j] for j in self.free_columns())
+        basis.append(v)
+        pivots.append(piv)
+    row_of = dict(zip(pivots, basis))
+    free = [j for j in range(ncols) if j not in row_of]
+    return [
+        tuple(int(j == k) for j in free) if k not in row_of
+        else tuple(-row_of[k][j] for j in free)
+        for k in range(ncols)
+    ]
 
 
 def integer_rank(rows) -> int:

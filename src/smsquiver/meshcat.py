@@ -5,8 +5,9 @@ Two routes are provided and must agree:
 * `hom_dim_oracle` quotients the graded path space by the mesh ideal with
   exact rational linear algebra.  Degree by degree, paths ending at v split
   by their last arrow, so the hom space at v is the cokernel of the mesh
-  map out of tau(v); the implementation tracks honest quotient projections,
-  not just dimensions.
+  map out of tau(v).  One `linalg.cokernel` per vertex gives the quotient
+  projection, not just its rank: its columns, sliced by incoming arrow,
+  are the maps Hom(x, u) -> Hom(x, v) that later vertices read.
 * `hom_dim_fast` is the integer knitting recursion (sum over incoming
   arrows minus the value at tau(v), clamped at zero).  Its clamping rule is
   validated against the oracle by the test suite, never assumed.
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 
 from .dynkin import DynkinGraph, coxeter_number
-from .linalg import SpanTracker
+from .linalg import cokernel
 from .values import Value
 from .ztquiver import StableTranslationQuiver, ZVert, _steps
 
@@ -109,9 +110,9 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
             continue
         v = (p, q)
         tv = (p - 1, q)
-        tracker = SpanTracker(width)
         # mesh relations: the image of Hom(x, tau v) under the maps
         # "compose with the arrow tau v -> u", stacked over all u -> v
+        relations = []
         for col in range(dims.get(tv, 0)):
             vec = [0] * width
             for u in ins:
@@ -120,19 +121,15 @@ def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
                     continue
                 for row, entry in enumerate(cols[col], offset[u]):
                     vec[row] += entry
-            tracker.add(vec)
-        d = width - tracker.rank
+            relations.append(vec)
+        projection = cokernel(relations, width)
+        d = len(projection[0])
         if not d:
             continue
         dims[v] = d
         last = g
         for u in ins:
-            cols = []
-            for k in range(offset[u], offset[u] + dims[u]):
-                e = [0] * width
-                e[k] = 1
-                cols.append(tracker.quotient_coords(e))
-            arrow_maps[(u, v)] = cols
+            arrow_maps[(u, v)] = projection[offset[u] : offset[u] + dims[u]]
 
     table = HomTable(graph, source, dims)
     _check_support_band(table)
@@ -188,14 +185,15 @@ def hom_dim_fast(graph: DynkinGraph, x: ZVert, y: ZVert) -> int:
 
 def quotient_hom_dim(q: StableTranslationQuiver, e: ZVert, f: ZVert) -> int:
     """Covering sum: total hom from a fixed lift of e onto all lifts of f."""
-    return quotient_hom_table(q)[(q.canonical(e), q.canonical(f))]
+    return quotient_hom_table(q).get((q.canonical(e), q.canonical(f)), 0)
 
 
 _quotient_cache: dict[str, dict] = {}
 
 
 def quotient_hom_table(q: StableTranslationQuiver) -> dict:
-    """All-pairs stable hom dimensions of a quotient, computed once.
+    """Stable hom dimensions of a quotient, computed once: the nonzero
+    entries only, listed in (e, f) order of `q.vertices`.
 
     Row e pushes the table of (0, e[1]) forward along the covering: by
     tau-equivariance that table, shifted by e[0] levels, is Hom(e, -) on
@@ -206,14 +204,18 @@ def quotient_hom_table(q: StableTranslationQuiver) -> dict:
     cached = _quotient_cache.get(key)
     if cached is not None:
         return cached
-    table = {(e, f): 0 for e in q.vertices for f in q.vertices}
+    table = {}
+    position = {v: i for i, v in enumerate(q.vertices)}
     projection: dict[ZVert, ZVert] = {}
     for e in q.vertices:
+        row: dict[ZVert, int] = {}
         for (p, node), d in _node_table(q.graph, e[1]).dims.items():
             lift = (e[0] + p, node)
             f = projection.get(lift)
             if f is None:
                 f = projection[lift] = q.canonical(lift)
-            table[(e, f)] += d
+            row[f] = row.get(f, 0) + d
+        for f in sorted(row, key=position.__getitem__):
+            table[(e, f)] = row[f]
     _quotient_cache[key] = table
     return table

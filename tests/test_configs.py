@@ -37,17 +37,17 @@ def reference_enumeration(q):
     card = num_simples(q.rfs_type)
     table = quotient_hom_table(q)
     candidates = sorted(
-        (v for v in q.vertices if table[(v, v)] == 1),
+        (v for v in q.vertices if table.get((v, v), 0) == 1),
         key=lambda v: (v[1], v[0]),
     )
     orthogonal = {
         (a, b)
         for a in candidates
         for b in candidates
-        if a != b and not table[(a, b)] and not table[(b, a)]
+        if a != b and not table.get((a, b), 0) and not table.get((b, a), 0)
     }
     coverers = {
-        v: frozenset(c for c in candidates if table[(v, c)]) for v in q.vertices
+        v: frozenset(c for c in candidates if table.get((v, c), 0)) for v in q.vertices
     }
     out = []
 
@@ -84,19 +84,19 @@ def bitmask_clique_enumeration(q):
     card = num_simples(q.rfs_type)
     table = quotient_hom_table(q)
     candidates = sorted(
-        (v for v in q.vertices if table[(v, v)] == 1),
+        (v for v in q.vertices if table.get((v, v), 0) == 1),
         key=lambda v: (v[1], v[0]),
     )
     orth = [
         sum(
             1 << j
             for j, b in enumerate(candidates)
-            if a != b and not table[(a, b)] and not table[(b, a)]
+            if a != b and not table.get((a, b), 0) and not table.get((b, a), 0)
         )
         for a in candidates
     ]
     coverers = [
-        sum(1 << k for k, c in enumerate(candidates) if table[(v, c)])
+        sum(1 << k for k, c in enumerate(candidates) if table.get((v, c), 0))
         for v in q.vertices
     ]
     out = []
@@ -186,8 +186,8 @@ def test_empty_set_fails_covering():
 def test_orthogonality_violation_reported():
     q = quotient(parse_type("A:2/f=1/t=1"))
     table = quotient_hom_table(q)
-    v = next(v for v in q.vertices if table[(v, v)] == 1)
-    w = next(w for w in q.vertices if w != v and table[(v, w)])
+    v = next(v for v in q.vertices if table.get((v, v), 0) == 1)
+    w = next(w for w in q.vertices if w != v and table.get((v, w), 0))
     ok, diag = is_configuration(q, (v, w))
     assert not ok and diag.startswith("orthogonality")
 
