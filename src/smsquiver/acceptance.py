@@ -321,10 +321,7 @@ CRITERIA = (
 )
 
 
-def run(numbers=None, stream=None) -> list[CriterionResult]:
-    import sys
-
-    stream = stream or sys.stdout
+def run(numbers=None) -> list[CriterionResult]:
     results = []
     for number, name, fn, budget in CRITERIA:
         if numbers and number not in numbers:
@@ -340,8 +337,5 @@ def run(numbers=None, stream=None) -> list[CriterionResult]:
             detail += f" (over budget: {elapsed:.1f}s >= {budget:.0f}s)"
         results.append(CriterionResult(number, name, passed, detail, elapsed, budget))
         status = "pass" if passed else "FAIL"
-        print(
-            f"criterion {number:2d} [{status}] {name}: {detail} ({elapsed:.2f}s)",
-            file=stream,
-        )
+        print(f"criterion {number:2d} [{status}] {name}: {detail} ({elapsed:.2f}s)")
     return results

@@ -1,34 +1,31 @@
 """Mutation quivers: BFS over irreducible left/right mutations.
 
-Vertices are canonical systems (sorted module tuples); an arrow records
-the mutated Nakayama-orbit by its socle-top signature rather than by
-positional indices, so labels survive canonicalization.
+Vertices are canonical systems (sorted module tuples), sorted once when
+the search ends; an arrow records the mutated Nakayama-orbit by its
+socle-top signature rather than by positional indices, so labels survive
+canonicalization.  Nakayama orbits are walked by `nakayama._orbit`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
-from .nakayama import Multiset, NakayamaAlgebra, _canon, _json_modules
+from .nakayama import Multiset, NakayamaAlgebra, _canon, _json_modules, _orbit
 from .values import Value
 
 
 def nu_orbit_partition(algebra: NakayamaAlgebra, system) -> list[Multiset]:
-    """Partition of a system into Nakayama orbits (minimal stable subsets)."""
-    remaining = set(_canon(system))
+    """Nakayama orbits (minimal stable subsets) of a system, by least member."""
+    remaining = set(system)
     parts = []
     while remaining:
-        m = min(remaining)
-        orbit = {m}
-        cur = algebra.nu(m)
-        while cur != m:
-            if cur not in remaining:
-                raise ValueError("system is not Nakayama-stable")
-            orbit.add(cur)
-            cur = algebra.nu(cur)
-        remaining -= orbit
-        parts.append(_canon(orbit))
-    return sorted(parts)
+        part = _canon(m for (m,) in _orbit((min(remaining),), (algebra.nu,)))
+        if not remaining.issuperset(part):
+            raise ValueError("system is not Nakayama-stable")
+        remaining.difference_update(part)
+        parts.append(part)
+    return parts
 
 
 def orbit_label(algebra: NakayamaAlgebra, part) -> str:
@@ -39,14 +36,10 @@ def orbit_label(algebra: NakayamaAlgebra, part) -> str:
 
 
 def _nu_stable_subsets(parts: list[Multiset]):
-    """Nonempty unions of Nakayama orbits."""
-    n = len(parts)
-    for mask in range(1, 1 << n):
-        subset = []
-        for i in range(n):
-            if mask >> i & 1:
-                subset.extend(parts[i])
-        yield _canon(subset)
+    """Nonempty unions of Nakayama orbits, each once: the parts are disjoint."""
+    for k in range(1, len(parts) + 1):
+        for chosen in itertools.combinations(parts, k):
+            yield _canon(itertools.chain.from_iterable(chosen))
 
 
 class MutationQuiver(Value):
@@ -98,49 +91,36 @@ def build_mutation_quiver(
     are finitely many.  Each subset is a union of Nakayama orbits of the
     system, so the moves skip the argument checks of `mutate_left` and
     `mutate_right`; each vertex is checked to be a system once, when it is
-    found.
+    found.  The vertices are sorted once, when the search ends.
     """
     if direction not in ("left", "right", "both"):
         raise ValueError("direction must be left, right or both")
+    directions = ("left", "right") if direction == "both" else (direction,)
     algebra._require_size(size_bound)
     start = _canon(start)
     if not algebra.is_sms(start):
         raise ValueError("starting system is not an sms")
 
-    index: dict[Multiset, int] = {start: 0}
-    vertices = [start]
-    arrows: set[tuple[int, int, str, str]] = set()
+    systems = {start}
+    arrows: set[tuple[Multiset, Multiset, str, str]] = set()
     frontier = [start]
     while frontier:
         nxt = []
         for system in frontier:
             parts = nu_orbit_partition(algebra, system)
-            subsets = (
-                list(_nu_stable_subsets(parts)) if allow_composite else parts
-            )
-            moves = []
-            if direction in ("left", "both"):
-                moves.extend(("left", sub) for sub in subsets)
-            if direction in ("right", "both"):
-                moves.extend(("right", sub) for sub in subsets)
-            for dirn, sub in moves:
-                image = algebra._mutate(system, sub, dirn)
-                if image not in index:
-                    algebra._require_sms(image)
-                    index[image] = len(vertices)
-                    vertices.append(image)
-                    nxt.append(image)
-                if image != system:  # identity mutations carry no arrow
-                    arrows.add(
-                        (index[system], index[image], orbit_label(algebra, sub), dirn)
-                    )
+            for sub in _nu_stable_subsets(parts) if allow_composite else parts:
+                label = orbit_label(algebra, sub)
+                for dirn in directions:
+                    image = algebra._mutate(system, sub, dirn)
+                    if image not in systems:
+                        algebra._require_sms(image)
+                        systems.add(image)
+                        nxt.append(image)
+                    if image != system:  # identity mutations carry no arrow
+                        arrows.add((system, image, label, dirn))
         frontier = nxt
 
-    # canonical vertex order, arrows re-indexed
-    order = sorted(range(len(vertices)), key=lambda i: vertices[i])
-    rename = {old: new for new, old in enumerate(order)}
-    verts = tuple(vertices[i] for i in order)
-    arr = tuple(
-        sorted((rename[s], rename[t], label, dirn) for s, t, label, dirn in arrows)
-    )
-    return MutationQuiver((algebra.e, algebra.L), verts, arr)
+    vertices = tuple(sorted(systems))
+    index = {v: i for i, v in enumerate(vertices)}
+    indexed = sorted((index[s], index[t], label, dirn) for s, t, label, dirn in arrows)
+    return MutationQuiver((algebra.e, algebra.L), vertices, tuple(indexed))

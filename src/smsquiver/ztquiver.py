@@ -21,8 +21,8 @@ cover of ZQ / G, so by Riedtmann's covering theory (Algebren,
 Darstellungsköcher, Überlagerungen und zurück, Comment. Math. Helv. 55,
 1980) each of them lifts to an automorphism s* tau^k of ZQ that normalises
 G, with s an automorphism of the tree (`dynkin.tree_automorphisms`).
-`automorphisms` lifts each s, projects the lift and keeps the projections
-that are automorphisms of the quotient.
+`automorphisms` lifts each s with the level correction of zeta*, projects
+the lift and keeps the projections that are automorphisms of the quotient.
 """
 
 from __future__ import annotations
@@ -230,32 +230,32 @@ def _check_mesh_symmetry(q: StableTranslationQuiver) -> None:
         raise MeshSymmetryError("tau is not a bijection of the vertices")
 
 
+def _lift_shifts(graph: DynkinGraph, s: GraphAutomorphism) -> dict[int, int]:
+    """The level shifts of the lift s*(p, n) = (p + shift[n], s(n)) with
+    s*(0, 1) = (0, s(1)).  Like zeta*, s* moves the grading 2p + depth(n) by
+    a constant; adjacent nodes differ in depth by one, so s keeps or swaps
+    the two depth parities and every numerator is even."""
+    depth = _steps(graph).depth
+    anchor = depth[s(1)] - depth[1]
+    return {n: (depth[n] - depth[s(n)] + anchor) // 2 for n in depth}
+
+
 def automorphisms(q: StableTranslationQuiver) -> list[dict]:
     """All arrow-preserving vertex permutations commuting with tau.
 
     Each is the projection of some s* tau^k normalising G (Riedtmann, see
-    the module docstring), so each tree automorphism s is lifted once: s*
-    is spread from (0, 1) along the arrows out of each node, and its
-    projection phi is kept when it is a bijection mapping arrows to arrows,
-    which holds exactly when s* normalises G.  Every tau^k phi is then a
-    member as well.  Output is sorted and therefore deterministic; the
-    identity and the residue of tau itself are members.
+    the module docstring), so each tree automorphism s is lifted once, and
+    its projection phi is kept when it is a bijection mapping arrows to
+    arrows, which holds exactly when s* normalises G.  Every tau^k phi is
+    then a member as well.  Output is sorted and therefore deterministic;
+    the identity and the residue of tau itself are members.
     """
     graph, verts = q.graph, q.vertices
-    outs = _steps(graph).outs
     orbits = q._orbits()
     arrow_set = set(q.arrows)
     found: dict[tuple, dict] = {}
     for s in tree_automorphisms(graph):
-        # s*(p, n) = (p + shift[n], s(n)): the arrow (p, n) -> (p + dp, m)
-        # goes to the arrow out of s*(p, n) towards s(m)
-        shift, spread = {1: 0}, [1]
-        for n in spread:
-            step = {m: dp for dp, m in outs[s(n)]}
-            for dp, m in outs[n]:
-                if m not in shift:
-                    shift[m] = shift[n] + step[s(m)] - dp
-                    spread.append(m)
+        shift = _lift_shifts(graph, s)
         phi = {v: _project(orbits, (v[0] + shift[v[1]], s(v[1]))) for v in verts}
         if len(set(phi.values())) < len(verts):
             continue

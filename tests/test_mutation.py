@@ -51,6 +51,66 @@ def is_strongly_connected(q: MutationQuiver) -> bool:
     return reach(fwd) and reach(back)
 
 
+def reference_nu_orbit_partition(algebra, system):
+    """The Nakayama orbits of a system by walking each nu-cycle by hand."""
+    remaining = set(_canon(system))
+    parts = []
+    while remaining:
+        m = min(remaining)
+        orbit = {m}
+        cur = algebra.nu(m)
+        while cur != m:
+            if cur not in remaining:
+                raise ValueError("system is not Nakayama-stable")
+            orbit.add(cur)
+            cur = algebra.nu(cur)
+        remaining -= orbit
+        parts.append(_canon(orbit))
+    return sorted(parts)
+
+
+def reference_stable_subsets(parts):
+    """The unions of Nakayama orbits, one per nonzero bit mask."""
+    for mask in range(1, 1 << len(parts)):
+        yield _canon(m for i, part in enumerate(parts) if mask >> i & 1 for m in part)
+
+
+def reference_mutation_quiver(algebra, start, direction, allow_composite):
+    """The BFS that numbers vertices as it finds them and renumbers them
+    into sorted order at the end, with all left moves before the right
+    ones and the bit-mask unions of orbits."""
+    start = _canon(start)
+    index = {start: 0}
+    vertices = [start]
+    arrows = set()
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for system in frontier:
+            parts = reference_nu_orbit_partition(algebra, system)
+            subsets = list(reference_stable_subsets(parts)) if allow_composite else parts
+            moves = []
+            if direction in ("left", "both"):
+                moves.extend(("left", sub) for sub in subsets)
+            if direction in ("right", "both"):
+                moves.extend(("right", sub) for sub in subsets)
+            for dirn, sub in moves:
+                image = algebra._mutate(system, sub, dirn)
+                if image not in index:
+                    algebra._require_sms(image)
+                    index[image] = len(vertices)
+                    vertices.append(image)
+                    nxt.append(image)
+                if image != system:
+                    arrows.add((index[system], index[image], orbit_label(algebra, sub), dirn))
+        frontier = nxt
+    order = sorted(range(len(vertices)), key=lambda i: vertices[i])
+    rename = {old: new for new, old in enumerate(order)}
+    verts = tuple(vertices[i] for i in order)
+    arr = tuple(sorted((rename[s], rename[t], label, dirn) for s, t, label, dirn in arrows))
+    return MutationQuiver((algebra.e, algebra.L), verts, arr)
+
+
 def test_nu_orbits_are_singletons_for_symmetric():
     A = NakayamaAlgebra(4, 5)
     parts = nu_orbit_partition(A, A.simples())
@@ -189,6 +249,54 @@ def test_nu_stable_subsets_enumerates_unions():
     parts = nu_orbit_partition(A, A.simples())
     subsets = list(_nu_stable_subsets(parts))
     assert len(subsets) == 2 ** len(parts) - 1
+
+
+def test_quiver_matches_the_renumbering_bfs():
+    """Sorting the vertices once gives the quiver of the BFS that numbers
+    them by discovery and renumbers them, on fresh algebras, so neither
+    build reads closures the other one cached."""
+    quivers = 0
+    for e, L in SMALL_ALGEBRAS:
+        for direction in ("left", "right", "both"):
+            for composite in (False, True):
+                A, B = NakayamaAlgebra(e, L), NakayamaAlgebra(e, L)
+                want = reference_mutation_quiver(A, A.simples(), direction, composite)
+                got = build_mutation_quiver(B, B.simples(), direction, composite)
+                assert got == want, (e, L, direction, composite)
+                quivers += 1
+    assert quivers == 6 * len(SMALL_ALGEBRAS) == 300
+
+
+def test_orbit_walk_matches_the_cycle_walk():
+    systems = 0
+    for e, L in SMALL_ALGEBRAS:
+        A = NakayamaAlgebra(e, L)
+        for S in A.all_sms():
+            parts = nu_orbit_partition(A, S)
+            assert parts == reference_nu_orbit_partition(A, S), (e, L, S)
+            subsets = list(_nu_stable_subsets(parts))
+            assert len(subsets) == len(set(subsets)) == 2 ** len(parts) - 1
+            assert set(subsets) == set(reference_stable_subsets(parts))
+            systems += 1
+    # the systems of the algebras, whose 389 subsets the tests above mutate at
+    assert systems == 111
+
+
+def test_orbit_walk_rejects_subsets_that_are_not_nu_stable():
+    rejected = 0
+    for e, L in SMALL_ALGEBRAS:
+        A = NakayamaAlgebra(e, L)
+        for S in A.all_sms():
+            for part in nu_orbit_partition(A, S):
+                if len(part) == 1:
+                    continue
+                broken = [m for m in S if m != part[0]]
+                for partition in (nu_orbit_partition, reference_nu_orbit_partition):
+                    with pytest.raises(ValueError, match="^system is not Nakayama-stable$"):
+                        partition(A, broken)
+                rejected += 1
+    # the nu-orbits with two or more members
+    assert rejected == 47
 
 
 def test_extension_closures_commute_with_duality():

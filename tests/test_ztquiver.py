@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from meshcat_reference import arrows_in, arrows_out, t_grade
 
 from smsquiver.configs import _type_grid
-from smsquiver.dynkin import DynkinGraph, parse_type
+from smsquiver.dynkin import DynkinGraph, parse_type, tree_automorphisms
 from smsquiver.ztquiver import (
     CoveringError,
     MeshSymmetryError,
     StableTranslationQuiver,
     Window,
     _check_mesh_symmetry,
+    _lift_shifts,
+    _steps,
     automorphisms,
     quotient,
 )
@@ -267,6 +269,35 @@ def test_anchored_search_matches_all_arrow_backtracking():
     # E7 and E8 have no tree automorphism but the identity: only tau's powers
     assert len(automorphisms(quotient(parse_type("E:7/f=1/t=1")))) == 17
     assert len(automorphisms(quotient(parse_type("E:8/f=1/t=1")))) == 29
+
+
+def spread_shifts(graph, s):
+    """The lift of s spread from (0, 1) along the arrows out of each node:
+    the arrow (p, n) -> (p + dp, m) goes to the arrow out of s*(p, n)
+    towards s(m)."""
+    outs = _steps(graph).outs
+    shift, spread = {1: 0}, [1]
+    for n in spread:
+        step = {m: dp for dp, m in outs[s(n)]}
+        for dp, m in outs[n]:
+            if m not in shift:
+                shift[m] = shift[n] + step[s(m)] - dp
+                spread.append(m)
+    return shift
+
+
+def test_closed_form_lift_matches_the_arrow_spread():
+    graphs = [DynkinGraph("A", n) for n in range(1, 13)]
+    graphs += [DynkinGraph("D", n) for n in range(4, 13)]
+    graphs += [DynkinGraph("E", n) for n in (6, 7, 8)]
+    lifted = 0
+    for graph in graphs:
+        for s in tree_automorphisms(graph):
+            assert _lift_shifts(graph, s) == spread_shifts(graph, s), (graph, s.mapping)
+            lifted += 1
+    # the flip on each A_n with n >= 2, the fork swap on each D_n, all of
+    # S3 on D4, the flip on E6, and the identities
+    assert lifted == 49
 
 
 @st.composite
