@@ -28,10 +28,12 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   other class adds a strand), and hom-vanishing certificates prove
   non-membership; a query neither tier decides raises
   GenerationUndecided.  The fixpoint stops as soon as it holds every
-  non-projective indecomposable, and then no certificate is needed.  A
-  candidate system S generates exactly when its closure is everything,
-  so is_sms decides generation through ext_closure (see
-  NakayamaAlgebra.ext_closure);
+  simple, and then no certificate is needed: by the radical series,
+  0 -> M(t+1, l-1) -> M(t, l) -> S_t -> 0 with l < L has non-projective
+  ends and middle, so by induction on l the simples generate every
+  non-projective indecomposable.  A candidate system S generates exactly
+  when its closure is everything, so is_sms decides generation through
+  ext_closure (see NakayamaAlgebra.ext_closure);
 * each closure is computed once per algebra and subset, and also
   answers its mirror image: D carries extension-closed
   subcategories to extension-closed subcategories, so the closure of
@@ -295,9 +297,11 @@ class NakayamaAlgebra:
         are subadditive along triangles, so a nonzero stable hom between y
         and U's two-sided vanishing sets rules y out).  A y that neither
         tier decides raises GenerationUndecided rather than guessing.
-        When the single-strand closure already holds all e(L-1)
-        non-projectives, the closure is indecomposables() itself and no
-        vanishing set is built.
+        When the single-strand closure reaches every simple, it returns
+        indecomposables() itself and no vanishing set is built: M(t, l) is
+        an extension of S_t by its radical M(t+1, l-1), so the simples
+        generate every non-projective.  Such a closure may thus answer a
+        query that the layer steps alone would leave undecided.
 
         Cached per algebra.  A computed closure C of U is also stored as the
         closure D(C) of D(U): the duality D is exact, so it carries
@@ -342,9 +346,10 @@ class NakayamaAlgebra:
         Generation is decided by ext_closure alone, so the answer is cached
         with the closure, and the dual entry answers for D(system).  The
         certificates only rule modules out, so an accepted system is one
-        whose single-strand closure is full.  Any other orthogonal
-        candidate builds vanishing sets, and is rejected or raises
-        GenerationUndecided.
+        whose single-strand closure reached every simple; by the radical
+        series M(t, l) = S_t extended by M(t+1, l-1), the simples then
+        generate everything.  Any other orthogonal candidate builds
+        vanishing sets, and is rejected or raises GenerationUndecided.
         """
         full = self.e * (self.L - 1)
         return self.is_orthogonal_system(mods) and len(self.ext_closure(mods)) == full
@@ -358,10 +363,17 @@ class NakayamaAlgebra:
         monotone in the closure, so a worklist reaches the same least
         fixpoint as repeated full passes: each member is taken once and
         tried only in the sub-objects that contain it, paired with itself
-        and the members taken before it.  Every added strand, like every
-        system member, is a non-projective indecomposable, so a closure of
-        e(L-1) members holds them all and cannot grow: the worklist stops
-        there.
+        and the members taken before it.
+
+        The worklist stops once the closure holds every simple and returns
+        indecomposables(): by the radical series, 0 -> M(t+1, l-1) ->
+        M(t, l) -> S_t -> 0 with l < L is a triangle with non-projective
+        ends and middle, so by induction on l the extension closure of the
+        simples is every non-projective.  This is the one stop rule; a
+        closure of all e(L-1) non-projectives holds every simple.  What it
+        returns then is the true extension closure; that may exceed the
+        fixpoint of the layer steps alone, though on no input the tests
+        check does it.
 
         Only classes that are nonzero on every summand of the sub-object are
         built, one pushout per full depth vector.  This loses no strand: a
@@ -369,12 +381,12 @@ class NakayamaAlgebra:
         strand, so its middle either has two strands or is the single strand
         y, which is already in the closure.
         """
-        full = self.e * (self.L - 1)
         closure = set(system)
+        missing = self.e - sum(m.length == 1 for m in closure)
         work = list(system)
         taken: list[SerialModule] = []
         syzygies = [(z, self.omega(z)) for z in system]
-        while work and len(closure) < full:
+        while work and missing:
             x = work.pop()
             taken.append(x)
             for sub in [(x,)] + [_canon((x, y)) for y in taken]:
@@ -386,7 +398,8 @@ class NakayamaAlgebra:
                         if len(strands) == 1 and strands[0] not in closure:
                             closure.add(strands[0])
                             work.append(strands[0])
-        return frozenset(closure)
+                            missing -= strands[0].length == 1
+        return frozenset(closure if missing else self.indecomposables())
 
     def _require_size(self, bound: int):
         """Raise BoundExceededError when e(L-1) exceeds a search's bound."""

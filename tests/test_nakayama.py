@@ -743,6 +743,68 @@ def test_single_strand_closure_of_every_system_is_everything():
     assert checked > 0
 
 
+def assert_simples_bring_everything(A, S):
+    """The law behind the worklist's stop: M(t, l) is an extension of S_t
+    by M(t+1, l-1), so a closure that holds every simple holds all e(L-1)
+    non-projectives, and the full passes reach them too."""
+    closure = reference_single_strand_closure(A, S)
+    if set(A.simples()) <= closure:
+        assert closure == frozenset(A.indecomposables()), (A, S)
+        return True
+    return False
+
+
+def test_a_closure_with_every_simple_is_everything():
+    """Every nonempty orthogonal subset with e(L-1) <= 16, the orthogonal
+    candidates among them.  On N(e, 2) every non-projective is simple, so
+    the law holds there for any subset, and its 2^e subsets of the simples
+    are not walked."""
+    checked = full = 0
+    for A in algebras_up_to(16):
+        if A.L == 2:
+            assert A.indecomposables() == A.simples(), A
+            continue
+        for S in orthogonal_subsets(A):
+            if S:
+                full += assert_simples_bring_everything(A, S)
+                checked += 1
+    assert (checked, full) == (4296, 95)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mid_size_orthogonal_subsets())
+def test_a_closure_with_every_simple_is_everything_past_the_sweep(case):
+    assert_simples_bring_everything(*case)
+
+
+def test_the_simples_build_no_pushout(monkeypatch):
+    calls = collections.Counter()
+    pushout = NakayamaAlgebra._pushout_middle
+
+    def counted(self, m, copies):
+        calls[self.e, self.L] += 1
+        return pushout(self, m, copies)
+
+    monkeypatch.setattr(NakayamaAlgebra, "_pushout_middle", counted)
+    for A in algebras_up_to(16):
+        assert A._single_strand_closure(A.simples()) == frozenset(A.indecomposables()), A
+    assert not calls
+    # the counter sees a closure that has to reach the simples: the system
+    # of N(4, 5) from the CLI's inverse-law check holds one simple
+    A = NakayamaAlgebra(4, 5)
+    system = (A.module(1, 3), A.module(2, 4), A.module(3, 4), A.module(4, 1))
+    assert A._single_strand_closure(system) == frozenset(A.indecomposables())
+    assert calls[4, 5] > 0
+
+
+def test_wide_algebra_systems_stop_at_the_simples():
+    # the closure of each system stops once it holds the e simples, not
+    # after all e(L-1) = 200 non-projectives
+    A = NakayamaAlgebra(100, 3)
+    systems = A.all_sms(bound=200)
+    assert len(systems) == 2 and systems[0] == A.simples()
+
+
 def orthogonal_subsets(A):
     """Every orthogonal subset of the schurian modules, of any size."""
     mods = [m for m in A.indecomposables() if A.stable_hom_dim(m, m) == 1]
