@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Subcommands: classify, hom, enumerate, orbits, brauer, sms, mutate,
-quiver, check.  The first seven take `--format tsv|json`.  Each of their
-`cmd_*` functions prints nothing: it returns its exit code, its JSON
-payload and its TSV lines, and `main` alone prints one or the other,
-adding the schema number 1 to every JSON payload.  `quiver` prints its
-DOT or JSON export (`--out`), and `check` streams one line per criterion.
+quiver, check, each described once in `COMMANDS`.  An invocation builds
+one argument parser, that of the command it names; help and usage errors
+go through the parser of the whole CLI, built only for them.  The first
+seven commands take `--format tsv|json`.  Each of their `cmd_*`
+functions prints nothing: it returns its exit code, a function that
+builds its JSON payload and its TSV lines, and `main` alone writes one or
+the other, in one write.  The payload is built only for `--format json`,
+with the schema number 1 added.  `quiver` prints its DOT or JSON export
+(`--out`), and `check` streams one line per criterion.
 JSON renders all exact numbers as strings.  Identical invocations produce
 byte-identical output.  Errors exit with code 1 and a one-line
 `error: <Kind>: <message>` on stderr; bad arguments exit 2, including
@@ -135,7 +139,7 @@ def cmd_classify(args):
     ok, diag = validate_rfs_type(t)
     payload = {"type": t.to_json(), "valid": ok, "diagnostic": diag}
     if not ok:
-        return 1, payload, [f"invalid\t{diag}"]
+        return 1, lambda: payload, [f"invalid\t{diag}"]
     r, zeta = admissible_group(t)
     payload.update(
         {
@@ -156,17 +160,20 @@ def cmd_classify(args):
     ]
     if payload["nonstandard_counterpart"]:
         fields.append("nonstandard-counterpart=yes")
-    return 0, payload, ["\t".join(fields)]
+    return 0, lambda: payload, ["\t".join(fields)]
 
 
 def cmd_hom(args):
     q = quotient(args.type)
     table = quotient_hom_table(q)
     pairs = [(e, f) for e in q.vertices for f in q.vertices]
-    payload = {
-        "type": str(q.rfs_type),
-        "dims": [[list(e), list(f), table.get((e, f), 0)] for e, f in pairs],
-    }
+
+    def payload():
+        return {
+            "type": str(q.rfs_type),
+            "dims": [[list(e), list(f), table.get((e, f), 0)] for e, f in pairs],
+        }
+
     return 0, payload, (
         f"{e[0]},{e[1]}\t{f[0]},{f[1]}\t{table.get((e, f), 0)}" for e, f in pairs
     )
@@ -175,23 +182,29 @@ def cmd_hom(args):
 def cmd_enumerate(args):
     q = quotient(args.type)
     configs = enumerate_configurations(q)
-    payload = {
-        "type": str(q.rfs_type),
-        "configurations": [[list(v) for v in c] for c in configs],
-    }
+
+    def payload():
+        return {
+            "type": str(q.rfs_type),
+            "configurations": [[list(v) for v in c] for c in configs],
+        }
+
     return 0, payload, [_config(c) for c in configs]
 
 
 def cmd_orbits(args):
     q = quotient(args.type)
     orbits = orbit_decomposition(q)
-    payload = {
-        "type": str(q.rfs_type),
-        "orbits": [
-            {"representative": [list(v) for v in o.representative], "size": o.size}
-            for o in orbits
-        ],
-    }
+
+    def payload():
+        return {
+            "type": str(q.rfs_type),
+            "orbits": [
+                {"representative": [list(v) for v in o.representative], "size": o.size}
+                for o in orbits
+            ],
+        }
+
     lines = [f"{len(orbits)} orbits"]
     lines += [f"{i}\tsize={o.size}\t{_config(o.representative)}" for i, o in enumerate(orbits)]
     return 0, payload, lines
@@ -207,19 +220,25 @@ def cmd_brauer(args):
         count = count_marked_extremal_trees(args.edges)
     else:
         count = count_brauer_trees(args.edges, args.multiplicity)
-    payload = {
-        "edges": args.edges,
-        "multiplicity": args.multiplicity,
-        "marked_extremal": bool(args.marked_extremal),
-        "count": count,
-    }
+
+    def payload():
+        return {
+            "edges": args.edges,
+            "multiplicity": args.multiplicity,
+            "marked_extremal": bool(args.marked_extremal),
+            "count": count,
+        }
+
     return 0, payload, [count]
 
 
 def cmd_sms(args):
     algebra = args.algebra
     systems = algebra.all_sms(bound=args.bound)
-    payload = {"algebra": _algebra(algebra), "systems": [_json_modules(s) for s in systems]}
+
+    def payload():
+        return {"algebra": _algebra(algebra), "systems": [_json_modules(s) for s in systems]}
+
     lines = [f"{len(systems)} systems"]
     lines += [f"{i}\t{_render_system(algebra, s)}" for i, s in enumerate(systems)]
     return 0, payload, lines
@@ -237,14 +256,17 @@ def cmd_mutate(args):
             )
     mutate = algebra.mutate_left if args.dir == "left" else algebra.mutate_right
     image = mutate(system, subset)
-    payload = {
-        "algebra": _algebra(algebra),
-        "direction": args.dir,
-        "at": _json_modules(subset),
-        "system": _json_modules(system),
-        "image": _json_modules(image),
-        "columns": [algebra.render_factors(m) for m in image],
-    }
+
+    def payload():
+        return {
+            "algebra": _algebra(algebra),
+            "direction": args.dir,
+            "at": _json_modules(subset),
+            "system": _json_modules(system),
+            "image": _json_modules(image),
+            "columns": [algebra.render_factors(m) for m in image],
+        }
+
     return 0, payload, [_render_system(algebra, image)]
 
 
@@ -268,87 +290,133 @@ def cmd_check(args):
     return (0 if all(r.passed for r in results) else 1), None, []
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FORMAT = _arg("--format", choices=("tsv", "json"), default="tsv")
+_TYPE = _arg("--type", type=_type_arg, required=True)
+
+# name -> (help, arguments, function); each argument is add_argument's
+# (flags, keyword arguments), in the order of the help text
+COMMANDS = {
+    "classify": (
+        "validate and describe an RFS type",
+        [_FORMAT, _arg("type", type=_type_arg, help="type string, e.g. A:5/f=1/t=2")],
+        cmd_classify,
+    ),
+    "hom": ("stable hom dimension table of a quotient", [_FORMAT, _TYPE], cmd_hom),
+    "enumerate": ("list all configurations", [_FORMAT, _TYPE], cmd_enumerate),
+    "orbits": ("configuration orbits under automorphisms", [_FORMAT, _TYPE], cmd_orbits),
+    "brauer": (
+        "count Brauer trees",
+        [
+            _FORMAT,
+            _arg("--edges", type=_positive_int_arg, required=True),
+            _arg("--multiplicity", type=_positive_int_arg, default=1),
+            _arg(
+                "--marked-extremal",
+                action="store_true",
+                help="count multiplicity-one trees with a chosen extremal vertex",
+            ),
+        ],
+        cmd_brauer,
+    ),
+    "sms": (
+        "list all simple-minded systems",
+        [
+            _FORMAT,
+            _arg("--algebra", type=_algebra_arg, required=True, help="nakayama:e:L"),
+            _arg("--bound", type=_positive_int_arg, default=24),
+        ],
+        cmd_sms,
+    ),
+    "mutate": (
+        "mutate a system at a Nakayama-stable subset",
+        [
+            _FORMAT,
+            _arg("--algebra", type=_algebra_arg, required=True),
+            _arg("--sms", required=True, help="`simples` or top:length pairs"),
+            _arg("--at", required=True, help="tops or top:length pairs"),
+            _arg("--dir", choices=("left", "right"), default="left"),
+            _arg("--allow-composite", action="store_true"),
+        ],
+        cmd_mutate,
+    ),
+    "quiver": (
+        "mutation quiver by BFS",
+        [
+            _arg("--algebra", type=_algebra_arg, required=True),
+            _arg("--start", default="simples"),
+            _arg("--dir", choices=("left", "right", "both"), default="left"),
+            _arg("--allow-composite", action="store_true"),
+            _arg("--bound", type=_positive_int_arg, default=24),
+            _arg("--out", choices=("dot", "json"), default="dot"),
+        ],
+        cmd_quiver,
+    ),
+    "check": (
+        "run the acceptance suite",
+        [_arg("--only", type=_criteria_arg, help="comma-separated criterion numbers")],
+        cmd_check,
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flags, kwargs in COMMANDS[name][1]:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the prog its subparser had."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"smsquiver {name}"), name)
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The whole CLI in one parser: top-level help and usage errors.
+
+    Its subcommands carry their arguments as well, so that it parses
+    every argv it is given in full, whatever comes before the command.
+    """
     parser = argparse.ArgumentParser(
         prog="smsquiver",
         description="simple-minded systems of representation-finite "
         "self-injective algebras, two ways",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
-    p = sub.add_parser("classify", help="validate and describe an RFS type", parents=[formatted])
-    p.add_argument("type", type=_type_arg, help="type string, e.g. A:5/f=1/t=2")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("hom", help="stable hom dimension table of a quotient", parents=[formatted])
-    p.add_argument("--type", type=_type_arg, required=True)
-    p.set_defaults(fn=cmd_hom)
-
-    p = sub.add_parser("enumerate", help="list all configurations", parents=[formatted])
-    p.add_argument("--type", type=_type_arg, required=True)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser(
-        "orbits", help="configuration orbits under automorphisms", parents=[formatted]
-    )
-    p.add_argument("--type", type=_type_arg, required=True)
-    p.set_defaults(fn=cmd_orbits)
-
-    p = sub.add_parser("brauer", help="count Brauer trees", parents=[formatted])
-    p.add_argument("--edges", type=_positive_int_arg, required=True)
-    p.add_argument("--multiplicity", type=_positive_int_arg, default=1)
-    p.add_argument(
-        "--marked-extremal",
-        action="store_true",
-        help="count multiplicity-one trees with a chosen extremal vertex",
-    )
-    p.set_defaults(fn=cmd_brauer)
-
-    p = sub.add_parser("sms", help="list all simple-minded systems", parents=[formatted])
-    p.add_argument("--algebra", type=_algebra_arg, required=True, help="nakayama:e:L")
-    p.add_argument("--bound", type=_positive_int_arg, default=24)
-    p.set_defaults(fn=cmd_sms)
-
-    p = sub.add_parser(
-        "mutate", help="mutate a system at a Nakayama-stable subset", parents=[formatted]
-    )
-    p.add_argument("--algebra", type=_algebra_arg, required=True)
-    p.add_argument("--sms", required=True, help="`simples` or top:length pairs")
-    p.add_argument("--at", required=True, help="tops or top:length pairs")
-    p.add_argument("--dir", choices=("left", "right"), default="left")
-    p.add_argument("--allow-composite", action="store_true")
-    p.set_defaults(fn=cmd_mutate)
-
-    p = sub.add_parser("quiver", help="mutation quiver by BFS")
-    p.add_argument("--algebra", type=_algebra_arg, required=True)
-    p.add_argument("--start", default="simples")
-    p.add_argument("--dir", choices=("left", "right", "both"), default="left")
-    p.add_argument("--allow-composite", action="store_true")
-    p.add_argument("--bound", type=_positive_int_arg, default=24)
-    p.add_argument("--out", choices=("dot", "json"), default="dot")
-    p.set_defaults(fn=cmd_quiver)
-
-    p = sub.add_parser("check", help="run the acceptance suite")
-    p.add_argument("--only", type=_criteria_arg, help="comma-separated criterion numbers")
-    p.set_defaults(fn=cmd_check)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv with the one parser of the command it names.
+
+    An argv that names no command first, or that the command's parser
+    leaves arguments over from, goes to `_top_parser`, which prints help
+    or the usage error and exit code of the whole CLI.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        namespace = argparse.Namespace(command=name)
+        args, extra = _command_parser(name).parse_known_args(argv[1:], namespace)
+        if not extra:
+            return args
+    return _top_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code, payload, lines = args.fn(args)
+        code, payload, lines = COMMANDS[args.command][2](args)
         if getattr(args, "format", "tsv") == "json":
-            lines = [json.dumps({"schema": 1, **payload}, sort_keys=True)]
-        for line in lines:
-            print(line)
+            lines = [json.dumps({"schema": 1, **payload()}, sort_keys=True)]
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
         return code
     except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
+        _top_parser().error(str(exc))
     except BrokenPipeError:
         return 0
     except Exception as exc:

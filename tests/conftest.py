@@ -1,6 +1,6 @@
 """Keeps the reference helpers beside the tests (`linalg_reference`,
-`meshcat_reference`) importable under every pytest import mode,
-`importlib` included."""
+`meshcat_reference`, `cli_reference`) importable under every pytest
+import mode, `importlib` included."""
 
 import sys
 from pathlib import Path

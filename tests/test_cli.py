@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import io
 import json
 import os
@@ -8,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from cli_reference import build_parser
+from smsquiver import cli
 from smsquiver.cli import main
+from smsquiver.nakayama import NakayamaAlgebra
 
 GOLDEN = Path(__file__).parent / "golden"
+JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
 
 
 def run_cli(*argv):
@@ -94,31 +100,31 @@ def test_enumerate_golden():
     assert out == (GOLDEN / "enumerate_a3_f1_t2.tsv").read_text()
 
 
-@pytest.mark.parametrize(
-    "name,argv,code",
-    [
-        ("classify_a5_f1_t2.json", "classify A:5/f=1/t=2 --format json", 0),
-        ("classify_e7_f1_t2.json", "classify E:7/f=1/t=2 --format json", 1),
-        ("hom_a2_f1_t1.json", "hom --type A:2/f=1/t=1 --format json", 0),
-        ("orbits_d4_f1_t1.json", "orbits --type D:4/f=1/t=1 --format json", 0),
-        ("orbits_d4_f1_t1.tsv", "orbits --type D:4/f=1/t=1", 0),
-        ("brauer_e4_m2.json", "brauer --edges 4 --multiplicity 2 --format json", 0),
-        ("sms_n3_4.json", "sms --algebra nakayama:3:4 --format json", 0),
-        ("sms_n3_4.tsv", "sms --algebra nakayama:3:4", 0),
-        (
-            "mutate_n4_5_left.json",
-            "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite --format json",
-            0,
-        ),
-        (
-            "mutate_n4_5_right.tsv",
-            "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite --dir right",
-            0,
-        ),
-        ("quiver_n3_4_both.json", "quiver --algebra nakayama:3:4 --dir both --out json", 0),
-        ("quiver_n3_4_both.dot", "quiver --algebra nakayama:3:4 --dir both", 0),
-    ],
-)
+GOLDEN_CASES = [
+    ("classify_a5_f1_t2.json", "classify A:5/f=1/t=2 --format json", 0),
+    ("classify_e7_f1_t2.json", "classify E:7/f=1/t=2 --format json", 1),
+    ("hom_a2_f1_t1.json", "hom --type A:2/f=1/t=1 --format json", 0),
+    ("orbits_d4_f1_t1.json", "orbits --type D:4/f=1/t=1 --format json", 0),
+    ("orbits_d4_f1_t1.tsv", "orbits --type D:4/f=1/t=1", 0),
+    ("brauer_e4_m2.json", "brauer --edges 4 --multiplicity 2 --format json", 0),
+    ("sms_n3_4.json", "sms --algebra nakayama:3:4 --format json", 0),
+    ("sms_n3_4.tsv", "sms --algebra nakayama:3:4", 0),
+    (
+        "mutate_n4_5_left.json",
+        "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite --format json",
+        0,
+    ),
+    (
+        "mutate_n4_5_right.tsv",
+        "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite --dir right",
+        0,
+    ),
+    ("quiver_n3_4_both.json", "quiver --algebra nakayama:3:4 --dir both --out json", 0),
+    ("quiver_n3_4_both.dot", "quiver --algebra nakayama:3:4 --dir both", 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN_CASES)
 def test_output_golden(name, argv, code):
     assert run_cli(*argv.split()) == (code, (GOLDEN / name).read_text())
 
@@ -290,6 +296,199 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "smsquiver.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_cli_import_builds_no_parser_and_loads_no_locale():
+    # argparse imports locale at its first gettext call, which builds a
+    # parser at import would make; argparse itself is loaded before `before`
+    code = (
+        "import argparse, sys; built = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]; "
+        "before = set(sys.modules); import smsquiver.cli; "
+        "print(len(built), *sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    built, *added = proc.stdout.split()
+    assert "smsquiver.cli" in added
+    assert built == "0"
+    assert "locale" not in added
+
+
+def count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+ONE_OF_EACH = {
+    "classify": "classify A:5/f=1/t=2",
+    "hom": "hom --type A:2/f=1/t=1",
+    "enumerate": "enumerate --type A:3/f=1/t=2 --format json",
+    "orbits": "orbits --type D:4/f=1/t=1",
+    "brauer": "brauer --edges 4",
+    "sms": "sms --algebra nakayama:3:4",
+    "mutate": "mutate --algebra nakayama:4:5 --sms simples --at 2,3 --allow-composite",
+    "quiver": "quiver --algebra nakayama:3:4 --out json",
+    "check": "check --only 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_each_command_builds_one_parser(name, monkeypatch):
+    assert set(ONE_OF_EACH) == set(cli.COMMANDS)
+    built = count_parsers(monkeypatch)
+    code, out = run_cli(*ONE_OF_EACH[name].split())
+    assert code == 0 and out
+    assert built == [f"smsquiver {name}"]
+
+
+def reference_subparsers():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_command_parser_matches_the_reference_subparser(name):
+    new, old = cli._command_parser(name), reference_subparsers()[name]
+    assert new.format_help() == old.format_help()
+    assert new.format_usage() == old.format_usage()
+
+
+def test_top_parser_matches_the_reference():
+    new, old = cli._top_parser(), build_parser()
+    assert new.format_help() == old.format_help()
+    assert new.format_usage() == old.format_usage()
+
+
+def load_jobs():
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def parsed_fields(args):
+    # NakayamaAlgebra compares by identity; everything else by value
+    return {
+        key: (value.e, value.L) if isinstance(value, NakayamaAlgebra) else value
+        for key, value in vars(args).items()
+        if key != "fn"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", load_jobs().all_jobs() + [argv for _, argv, _ in GOLDEN_CASES]
+)
+def test_parsed_namespace_matches_the_reference(argv):
+    argv = argv.split()
+    assert parsed_fields(cli._parse_args(argv)) == parsed_fields(build_parser().parse_args(argv))
+
+
+def reference_main(argv):
+    """The argument handling of `main` as it was, up to the first error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.fn(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
+
+
+def exit_and_output(run, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+BAD_INVOCATIONS = [
+    "",
+    "bogus",
+    "bogus --type A:2/f=1/t=1",
+    "--format json sms",
+    "--format json sms --algebra nakayama:3:4",
+    "-- sms --algebra nakayama:3:4",
+    # an unknown option before the command: the command's own parser still
+    # reads the rest, and its errors come first
+    "-x sms --algebra nakayama:3:4",
+    "-x sms",
+    "enumerate --type",
+    "enumerate",
+    "classify",
+    "classify A:5/f=1/t=2 extra",
+    "sms --algebra nakayama:3:4 --foo",
+    "sms --algebra nakayama:3:4 --format xml",
+    "sms --algebra nakayama:x:3",
+    "sms --algebra nakayama:3:4 --bound 0",
+    "quiver --algebra nakayama:3:4 --bound x",
+    "quiver --algebra nakayama:3:4 --start 1:9",
+    "quiver --algebra nakayama:3:4 --dir up",
+    "orbits --type Q:9/f=1/t=1",
+    "hom --type A:2/f=1/0/t=1",
+    "mutate --algebra foo --sms simples --at 1",
+    "mutate --algebra nakayama:4:5 --sms 1:x --at 1",
+    "mutate --algebra nakayama:4:5 --sms simples --at 9",
+    "mutate --algebra nakayama:4:5 --sms simples --at 2:x",
+    "brauer --edges 0",
+    "brauer --edges 3 --multiplicity 0",
+    "brauer --edges 4 --multiplicity 3 --marked-extremal",
+    "check --only 99",
+    "check --only 1,,2",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS)
+def test_bad_invocation_matches_the_reference(argv, capsys):
+    argv = argv.split()
+    new = exit_and_output(main, argv, capsys)
+    assert new == exit_and_output(reference_main, argv, capsys)
+    assert new[0] == 2 and new[1] == "" and new[2]
+
+
+@pytest.mark.parametrize(
+    "argv", ["-h", "--help", "--he", *(f"{name} -h" for name in cli.COMMANDS)]
+)
+def test_help_matches_the_reference(argv, capsys):
+    argv = argv.split()
+    new = exit_and_output(main, argv, capsys)
+    assert new == exit_and_output(reference_main, argv, capsys)
+    assert new[0] == 0 and new[1].startswith("usage: smsquiver") and new[2] == ""
+
+
+def test_tsv_run_builds_no_payload(monkeypatch):
+    help_text, arguments, cmd_hom = cli.COMMANDS["hom"]
+    calls = []
+
+    def recording_hom(args):
+        code, payload, lines = cmd_hom(args)
+
+        def recorded_payload():
+            calls.append(payload())
+            return calls[-1]
+
+        return code, recorded_payload, lines
+
+    monkeypatch.setitem(cli.COMMANDS, "hom", (help_text, arguments, recording_hom))
+    code, out = run_cli("hom", "--type", "A:2/f=1/t=1")
+    assert (code, out) == (0, (GOLDEN / "hom_a2_f1_t1.tsv").read_text())
+    assert calls == []
+    code, out = run_cli("hom", "--type", "A:2/f=1/t=1", "--format", "json")
+    assert (code, out) == (0, (GOLDEN / "hom_a2_f1_t1.json").read_text())
+    assert len(calls) == 1
 
 
 def test_readme_library_block_runs_verbatim():
