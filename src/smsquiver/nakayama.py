@@ -27,8 +27,12 @@ Everything is computed exactly, combinatorially and with no linear algebra:
   membership from the pushouts of classes nonzero on every summand (no
   other class adds a strand), and hom-vanishing certificates prove
   non-membership; a query neither tier decides raises
-  GenerationUndecided.  The fixpoint stops as soon as it holds every
-  simple, and then no certificate is needed: by the radical series,
+  GenerationUndecided.  The fixpoint keeps, for each system member z,
+  a bucket of the members m with Ext^1(z, m) != 0 and their stable bases,
+  and pairs a new member only within the buckets it joins: a class
+  nonzero on both summands needs Ext support on both, so no strand is
+  lost.  The fixpoint stops as soon as it holds every simple, and then
+  no certificate is needed: by the radical series,
   0 -> M(t+1, l-1) -> M(t, l) -> S_t -> 0 with l < L has non-projective
   ends and middle, so by induction on l the simples generate every
   non-projective indecomposable.  A candidate system S generates exactly
@@ -302,6 +306,9 @@ class NakayamaAlgebra:
         an extension of S_t by its radical M(t+1, l-1), so the simples
         generate every non-projective.  Such a closure may thus answer a
         query that the layer steps alone would leave undecided.
+        A projective in `mods` raises ValueError, naming it, before any
+        closure is computed: it is zero in the stable category and has no
+        Omega to pair with.
 
         Cached per algebra.  A computed closure C of U is also stored as the
         closure D(C) of D(U): the duality D is exact, so it carries
@@ -319,6 +326,9 @@ class NakayamaAlgebra:
         closure = self._closure_cache.get(key)
         if closure is not None:
             return closure
+        for m in key:
+            if self.is_projective(m):
+                raise ValueError(f"extension closures are of non-projectives, not {m}")
         ind = self.indecomposables()
         strands = self._single_strand_closure(key)
         if len(strands) == len(ind):
@@ -365,6 +375,15 @@ class NakayamaAlgebra:
         tried only in the sub-objects that contain it, paired with itself
         and the members taken before it.
 
+        Those pairs are indexed by Ext support.  Each system member z has a
+        bucket: the members taken so far with a nonzero stable
+        Hom(Omega z, m) = Ext^1(z, m), each with its stable basis, so that
+        basis is computed once per (z, m).  A newly taken x is tried alone
+        and paired only with the members of the buckets it joins, itself
+        included.  No strand is lost: a class nonzero on every summand
+        needs a nonzero depth on each, so a pair outside a common bucket
+        has no such class.
+
         The worklist stops once the closure holds every simple and returns
         indecomposables(): by the radical series, 0 -> M(t+1, l-1) ->
         M(t, l) -> S_t -> 0 with l < L is a triangle with non-projective
@@ -384,15 +403,16 @@ class NakayamaAlgebra:
         closure = set(system)
         missing = self.e - sum(m.length == 1 for m in closure)
         work = list(system)
-        taken: list[SerialModule] = []
-        syzygies = [(z, self.omega(z)) for z in system]
+        buckets = [(z, self.omega(z), {}) for z in system]
         while work and missing:
             x = work.pop()
-            taken.append(x)
-            for sub in [(x,)] + [_canon((x, y)) for y in taken]:
-                for z, om in syzygies:
-                    bases = [self.stable_hom_basis(om, m) for m in sub]
-                    for depths in itertools.product(*bases):
+            for z, om, bucket in buckets:
+                basis = self.stable_hom_basis(om, x)
+                if not basis:
+                    continue
+                bucket[x] = basis
+                for sub in [(x,)] + [(x, y) for y in bucket]:
+                    for depths in itertools.product(*(bucket[m] for m in sub)):
                         middle = self._pushout_middle(z, tuple(zip(sub, depths)))
                         strands = self._strip_projectives(middle)
                         if len(strands) == 1 and strands[0] not in closure:

@@ -732,6 +732,55 @@ def test_worklist_closure_matches_full_passes_past_the_sweep(case):
     assert A._single_strand_closure(S) == reference_single_strand_closure(A, S), (A, S)
 
 
+@pytest.mark.parametrize(
+    "e,L",
+    [(16, 4)]
+    + [pytest.param(e, L, marks=pytest.mark.slow) for e, L in [(20, 4), (10, 7), (100, 3)]],
+)
+def test_closure_of_every_candidate_matches_full_passes_on_wide_algebras(e, L):
+    """The worklist pairs a member only within the Ext-support buckets it
+    joins; the full passes pair every two members.  Most candidates of
+    N(16, 4), N(20, 4) and N(10, 7) are no systems, so their closures run
+    to the fixpoint; the two of N(100, 3) are systems."""
+    A = NakayamaAlgebra(e, L)
+    for S in A.orthogonal_candidates():
+        assert A._single_strand_closure(S) == reference_single_strand_closure(A, S), (A, S)
+
+
+def test_closure_asks_each_stable_basis_once(monkeypatch):
+    # one stable basis Hom(Omega z, m) per system member z and member m
+    # taken; asking again for every pair of members took 64,960 calls on
+    # this non-system candidate
+    A = NakayamaAlgebra(20, 4)
+    S = A.orthogonal_candidates()[1]
+    assert not A.is_sms(S)
+    calls = 0
+    basis = NakayamaAlgebra.stable_hom_basis
+
+    def counted(self, m, n):
+        nonlocal calls
+        calls += 1
+        return basis(self, m, n)
+
+    monkeypatch.setattr(NakayamaAlgebra, "stable_hom_basis", counted)
+    closure = NakayamaAlgebra(20, 4)._single_strand_closure(S)
+    assert calls <= len(S) * len(closure)
+    assert (calls, len(closure)) == (1120, 56)
+
+
+def test_ext_closure_refuses_a_projective_before_any_work(monkeypatch):
+    A = NakayamaAlgebra(4, 5)
+
+    def no_closure(self, system):
+        raise RuntimeError("closure computed")
+
+    monkeypatch.setattr(NakayamaAlgebra, "_single_strand_closure", no_closure)
+    with pytest.raises(ValueError, match=r"not \(2,5\)"):
+        A.ext_closure([A.projective(2)])
+    with pytest.raises(ValueError, match=r"not \(3,5\)"):
+        A.ext_closure([A.simples()[0], A.projective(3)])
+
+
 def test_single_strand_closure_of_every_system_is_everything():
     # so the worklist stops early on every system, and no system of
     # e(L-1) <= 16 needs the vanishing tier to be accepted
