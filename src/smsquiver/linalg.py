@@ -31,8 +31,11 @@ def cokernel(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     The rows are brought to reduced echelon form; the free columns give
     the quotient's basis.  A free column maps to its own unit vector and
     a pivot column to minus the free part of its row, so the map kills
-    every row and nothing else.
+    every row and nothing else.  With no rows that is the identity; once
+    the rows reach full rank the quotient is 0, and every column is ().
     """
+    if not rows:
+        return [(0,) * k + (1,) + (0,) * (ncols - k - 1) for k in range(ncols)]
     basis: list[list[int | Fraction]] = []
     pivots: list[int] = []
     for vec in rows:
@@ -42,8 +45,10 @@ def cokernel(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
             if c:
                 for j in range(piv, ncols):
                     v[j] -= c * row[j]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
+        for piv in range(ncols):
+            if v[piv]:
+                break
+        else:
             continue
         pv = v[piv]
         if pv == -1:
@@ -59,11 +64,13 @@ def cokernel(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
                     row[j] -= c * v[j]
         basis.append(v)
         pivots.append(piv)
+        if len(basis) == ncols:
+            return [()] * ncols
     row_of = dict(zip(pivots, basis))
     free = [j for j in range(ncols) if j not in row_of]
     return [
-        tuple(int(j == k) for j in free) if k not in row_of
-        else tuple(-row_of[k][j] for j in free)
+        tuple([int(j == k) for j in free]) if k not in row_of
+        else tuple([-row_of[k][j] for j in free])
         for k in range(ncols)
     ]
 

@@ -21,6 +21,14 @@ the node depths come from the per-graph step table of ZQ
 (`ztquiver._steps`), and the window's vertex order is computed once per
 node (`_band_order`).
 
+Both walks index a dense grid, not dicts keyed by vertices.  Vertex
+(x0 + dp, q) of the window sits at position (dp + 1) n + q - 1, n the
+rank, so a grid holds the 2h + 2 window levels and one more: level -1, a
+padding row of zeros.  Hence tau(v) sits at i - n, and the tails of the
+arrows into node q sit at i + k for the per-graph relative offsets k of
+`_grid`, the same at every level.  The grid is relative to the source's
+level; each table is returned keyed by the absolute vertices (x0 + dp, q).
+
 Both tables visit the window by t-grade and end at the first empty one.
 Every arrow raises the t-grade by 1, so every path into v other than the
 identity ends with an arrow u -> v from one grade lower.  In the oracle
@@ -35,7 +43,6 @@ target inside the support band contributes once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .dynkin import DynkinGraph, coxeter_number
@@ -71,8 +78,10 @@ def _band_order(graph: DynkinGraph, node: int) -> tuple[tuple[int, int, int], ..
 
     Shifting the source by s levels shifts every t-grade by 2s, so this
     order, shifted to the source's level, serves every source on `node`.
-    A table built over it stores nothing else, so an arrow tail outside
-    the window reads as 0 without a membership test.
+    The walks put (dp, q) at grid position (dp + 1) n + q - 1 (`_grid`)
+    and write nothing else; an arrow tail outside the window lies on the
+    padding level -1 or below the source's t-grade, both never written,
+    so it reads as 0 without a membership test.
     """
     depth = _steps(graph).depth
     t0 = depth[node]
@@ -86,74 +95,96 @@ def _band_order(graph: DynkinGraph, node: int) -> tuple[tuple[int, int, int], ..
     )
 
 
+@cache
+def _grid(graph: DynkinGraph) -> tuple[int, int, dict[int, tuple[int, ...]]]:
+    """The rank n, the size (2h + 3) n of a band window's grid, and for each
+    node q the relative offsets k of the arrow tails into it: the tail of
+    an arrow into the vertex at position i sits at position i + k.
+
+    An arrow (dq, m) -> (0, q) of `_steps(graph).ins` has the offset
+    dq n + m - q, in the order of `ins[q]`.
+    """
+    n = graph.rank
+    size = (2 * coxeter_number(graph) + 3) * n
+    ins = {q: tuple(dq * n + m - q for dq, m in arrows) for q, arrows in _steps(graph).ins.items()}
+    return n, size, ins
+
+
 def oracle_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Exact mesh-category hom dimensions from `source` over its band window."""
-    ins_of = _steps(graph).ins
-    p0 = source[0]
-    dims: dict[ZVert, int] = {source: 1}
-    # arrow_maps[(u, v)]: columns (one per basis class at u) of the
-    # post-composition map Hom(x,u) -> Hom(x,v).
-    arrow_maps: dict[tuple[ZVert, ZVert], list[tuple[int | Fraction, ...]]] = {}
+    n, size, ins_of = _grid(graph)
+    p0, node = source
+    out: dict[ZVert, int] = {source: 1}
+    dims = [0] * size
+    dims[n + node - 1] = 1
+    # projection[v]: the columns of the quotient map onto Hom(x, v), one per
+    # basis class of the stacked Hom(x, u) over the arrows u -> v, and
+    # ins_at[v]: the first of those columns for each tail u.  So the map
+    # Hom(x, u) -> Hom(x, v) is the slice of projection[v] at ins_at[v][u].
+    projection: list = [None] * size
+    ins_at: list = [None] * size
     last = 0  # t-grade offset of the last nonzero hom
 
-    for g, dp, q in _band_order(graph, source[1]):
+    for g, dp, q in _band_order(graph, node):
         if g > last + 1:
             break
-        p = p0 + dp
-        ins = [u for u in ((p + dq, n) for dq, n in ins_of[q]) if u in dims]
-        offset = {}
+        i = (dp + 1) * n + q - 1
+        at = {}
         width = 0
-        for u in ins:
-            offset[u] = width
-            width += dims[u]
-        if width == 0:
+        for k in ins_of[q]:
+            d = dims[i + k]
+            if d:
+                at[i + k] = width
+                width += d
+        if not width:
             continue
-        v = (p, q)
-        tv = (p - 1, q)
         # mesh relations: the image of Hom(x, tau v) under the maps
-        # "compose with the arrow tau v -> u", stacked over all u -> v
-        relations = []
-        for col in range(dims.get(tv, 0)):
-            vec = [0] * width
-            for u in ins:
-                cols = arrow_maps.get((tv, u))
-                if cols is None:
-                    continue
-                for row, entry in enumerate(cols[col], offset[u]):
-                    vec[row] += entry
-            relations.append(vec)
-        projection = cokernel(relations, width)
-        d = len(projection[0])
+        # "compose with the arrow tau v -> u", stacked over all u -> v.  A
+        # nonzero Hom(x, tau v) puts every such u past the source, so its
+        # projection holds a slice for tau v.
+        t = i - n
+        relations = [[0] * width for _ in range(dims[t])]
+        if relations:
+            for u, row0 in at.items():
+                cols = projection[u]
+                for col, vec in enumerate(relations, ins_at[u][t]):
+                    for row, entry in enumerate(cols[col], row0):
+                        vec[row] += entry
+        columns = cokernel(relations, width)
+        d = len(columns[0])
         if not d:
             continue
-        dims[v] = d
+        dims[i] = d
+        projection[i] = columns
+        ins_at[i] = at
+        out[(p0 + dp, q)] = d
         last = g
-        for u in ins:
-            arrow_maps[(u, v)] = projection[offset[u] : offset[u] + dims[u]]
 
-    table = HomTable(graph, source, dims)
+    table = HomTable(graph, source, out)
     _check_support_band(table)
     return table
 
 
 def fast_table(graph: DynkinGraph, source: ZVert) -> HomTable:
     """Clamped additive recursion for the same dimensions."""
-    ins_of = _steps(graph).ins
-    p0 = source[0]
-    dims: dict[ZVert, int] = {source: 1}
-    get = dims.get
+    n, size, ins_of = _grid(graph)
+    p0, node = source
+    out: dict[ZVert, int] = {source: 1}
+    dims = [0] * size
+    dims[n + node - 1] = 1
     last = 0  # t-grade offset of the last nonzero hom
-    for g, dp, q in _band_order(graph, source[1]):
+    for g, dp, q in _band_order(graph, node):
         if g > last + 1:
             break
-        p = p0 + dp
-        total = -get((p - 1, q), 0)
-        for dq, n in ins_of[q]:
-            total += get((p + dq, n), 0)
+        i = (dp + 1) * n + q - 1
+        total = -dims[i - n]
+        for k in ins_of[q]:
+            total += dims[i + k]
         if total > 0:
-            dims[(p, q)] = total
+            dims[i] = total
+            out[(p0 + dp, q)] = total
             last = g
-    table = HomTable(graph, source, dims)
+    table = HomTable(graph, source, out)
     _check_support_band(table)
     return table
 

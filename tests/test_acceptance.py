@@ -5,11 +5,14 @@ Each test prints its own pass/fail line through the shared runner, so
 report.
 """
 
+from collections import Counter
+
 import pytest
 
-from smsquiver import acceptance
+from smsquiver import acceptance, meshcat
 from smsquiver.acceptance import CRITERIA, run
 from smsquiver.dynkin import DynkinGraph, coxeter_number
+from smsquiver.linalg import cokernel
 from smsquiver.meshcat import HomTable
 from smsquiver.ztquiver import Window
 
@@ -73,6 +76,44 @@ def test_check_9_counts_the_pairs_of_the_double_loop():
     result = acceptance.criterion_9()
     assert result == double_loop_criterion_9()
     assert result == (True, "39515 pairs agree across 7 tree classes")
+
+
+def test_check_9_computes_every_table_afresh(monkeypatch):
+    # one oracle and one fast table per window source, 437 in all: no
+    # table is a shift of another, so the tau-equivariance half compares
+    # tables computed independently
+    calls = {"oracle_table": Counter(), "fast_table": Counter()}
+    for name, counter in calls.items():
+        table_fn = getattr(acceptance, name)
+
+        def counted(graph, x, table_fn=table_fn, counter=counter):
+            counter[(str(graph), x)] += 1
+            return table_fn(graph, x)
+
+        monkeypatch.setattr(acceptance, name, counted)
+    assert acceptance.criterion_9() == (True, "39515 pairs agree across 7 tree classes")
+    sources = Counter(
+        (str(graph), x)
+        for graph in (DynkinGraph(family, rank) for family, rank in acceptance.MESH_GRAPHS)
+        for x in Window(graph, 0, 2 * coxeter_number(graph)).vertices
+    )
+    assert sum(sources.values()) == len(sources) == 437
+    assert calls["oracle_table"] == calls["fast_table"] == sources
+
+
+def test_check_9_oracle_does_no_fraction_arithmetic(monkeypatch):
+    # every pivot the oracle meets is 1 or -1, so each quotient map it
+    # builds over criterion 9's sources has int entries only
+    entries = []
+
+    def checked(rows, ncols):
+        columns = cokernel(rows, ncols)
+        entries.extend(x for column in columns for x in column)
+        return columns
+
+    monkeypatch.setattr(meshcat, "cokernel", checked)
+    assert acceptance.criterion_9()[0]
+    assert entries and all(type(x) is int for x in entries)
 
 
 # two entries inside the window raised, the first in window order where the

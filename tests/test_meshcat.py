@@ -223,11 +223,19 @@ def test_hammock_rectangle_for_a_type():
 
 
 def test_translation_equivariance():
-    graph = DynkinGraph("D", 5)
-    base = oracle_table(graph, (0, 3))
-    shifted = oracle_table(graph, (2, 3))
-    for (p, q), d in base.dims.items():
-        assert shifted.dim((p + 2, q)) == d
+    # the tables index a grid relative to the source's level, so a source
+    # moved by s levels gives the same values, in the same order, at keys
+    # moved by s levels
+    for family, rank in [("A", 5), ("D", 5), ("E", 6)]:
+        graph = DynkinGraph(family, rank)
+        for table_fn in (oracle_table, fast_table):
+            for q in graph.nodes:
+                base = list(table_fn(graph, (0, q)).dims.items())
+                for level in (-2, 3):
+                    shifted = table_fn(graph, (level, q))
+                    assert shifted.source == (level, q)
+                    expected = [((p + level, n), d) for (p, n), d in base]
+                    assert list(shifted.dims.items()) == expected, (family, rank, q, level)
 
 
 def test_a1_has_only_identities():
